@@ -41,7 +41,6 @@ from .dynamics import (
     rhs_classical,
     rhs_growth,
     rhs_modified,
-    rk4_step,
 )
 from .errors import (
     DegenerateCaseError,

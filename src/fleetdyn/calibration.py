@@ -73,26 +73,19 @@ class FuelMassModel:
     m_dot     : total fuel mass consumed per year by the fleet
     m_i       : fuel mass per vehicle (tank basis)
     m_i_dot   : fuel mass consumed per vehicle per year
-    m_w_dot   : wasted mass rate; the model assumes zero waste
+
+    The model assumes no fuel is wasted, so m_dot is also the total mass rate.
     """
 
     m_dot: float
     m_i: float
     m_i_dot: float
-    m_w_dot: float = 0.0
 
     def __post_init__(self):
-        for name in ("m_dot", "m_i", "m_i_dot", "m_w_dot"):
+        for name in ("m_dot", "m_i", "m_i_dot"):
             v = getattr(self, name)
             if not (v >= 0) or not math.isfinite(v):
                 raise ValidationError(f"{name} must be non-negative, got {v}")
-        if self.m_w_dot != 0.0:
-            raise ValidationError("the model assumes zero wasted mass (m_w_dot = 0)")
-
-    @property
-    def m_t_dot(self) -> float:
-        """Total mass rate including waste; equals m_dot with zero waste."""
-        return self.m_dot + self.m_w_dot
 
 
 @dataclass(frozen=True)

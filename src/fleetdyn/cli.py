@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 runtime/model failure, 2 usage or validation
 failure. Every command is deterministic: the same invocation produces
 byte-identical files. Numeric output uses fixed 6-decimal formatting.
 
-Flags can also be supplied through a flat key-value configuration file
-(`key = value`, `#` comments) passed with --config; explicit flags win.
+The growth, scenario and sensitivity flags can also be supplied through a
+flat key-value configuration file (`key = value`, `#` comments) passed
+with --config; explicit flags win.
 The output directory defaults to ./out, overridable with the FLEETDYN_OUT
 environment variable or the --out flag.
 """
@@ -15,7 +16,6 @@ environment variable or the --out flag.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -67,7 +67,7 @@ def load_config(path) -> dict[str, str]:
 
 def _merge_config(args, keys: dict[str, type]) -> None:
     """Fill unset flags from the config file; flags override file values."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return
     cfg = load_config(args.config)
     for key, typ in keys.items():
@@ -79,9 +79,11 @@ def _merge_config(args, keys: dict[str, type]) -> None:
 
 
 def _outdir(args) -> Path:
-    out = args.out or os.environ.get("FLEETDYN_OUT") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("FLEETDYN_OUT") or "out")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {path}: not a usable output directory: {exc}") from exc
     return path
 
 
@@ -98,15 +100,13 @@ def cmd_growth(args) -> int:
     initial = FleetState(args.t0, args.n0, 0.0).require_nonnegative()
     traj = integrate(growth_system(params), initial, args.t1, dt)
 
+    years, fleet, _ = scenarios.sample_yearly(traj)
     outdir = _outdir(args)
     path = outdir / "growth.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("year,fleet_mveh\n")
-        first = int(math.ceil(traj.t[0] - 1e-9))
-        last = int(math.floor(traj.t[-1] + 1e-9))
-        for year in range(first, last + 1):
-            x, _ = traj.sample(float(year))
-            fh.write(f"{year},{x:.6f}\n")
+        for year, x in zip(years.tolist(), fleet.tolist()):
+            fh.write(f"{year:.0f},{x:.6f}\n")
     print(f"wrote {path}")
     print(f"fleet at {traj.t[-1]:.1f}: {traj.final.x:.6f} Mveh")
     return 0
@@ -278,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, config=False):
         p.add_argument("--out", help="output directory (default ./out or $FLEETDYN_OUT)")
-        p.add_argument("--config", help="key = value configuration file; flags override")
+        if config:
+            p.add_argument("--config", help="key = value configuration file; flags override")
 
     p = sub.add_parser("growth", help="simulate the first-order growth model")
     p.add_argument("--gamma", type=float, help="growth rate, 1/year")
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, help="start year")
     p.add_argument("--t1", type=float, help="end year")
     p.add_argument("--dt", type=float, help="integration step, years (default 0.1)")
-    add_common(p)
+    add_common(p, config=True)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("scenario", help="run a named or custom transition scenario")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _SCENARIO_FRAME_KEYS:
         p.add_argument(f"--{key}", type=float, help=f"custom scenario frame value {key}")
     p.add_argument("--targets", action="store_true", help="append a target-check report")
-    add_common(p)
+    add_common(p, config=True)
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("fit", help="fit the growth model to a fleet CSV")
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="equilibrium and parameter gradients")
     for key, default in _GRAD_DEFAULTS.items():
         p.add_argument(f"--{key}", type=float, help=f"model parameter (default {default})")
-    add_common(p)
+    add_common(p, config=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("infra", help="refuelling-station deployment plan")
@@ -342,10 +343,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModelError as exc:

@@ -9,6 +9,7 @@ are immutable value types, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
+from math import isfinite
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -28,17 +29,19 @@ __all__ = [
     "growth_system",
     "classical_system",
     "modified_system",
-    "rk4_step",
     "integrate",
     "growth_closed_form",
     "lv_conserved_quantity",
 ]
 
-# dx/dt and dy/dt as a function of the current state
-RhsFunc = Callable[["FleetState"], tuple[float, float]]
+# (dx/dt, dy/dt) as a function of the current fleet sizes (x, y)
+RhsFunc = Callable[[float, float], tuple[float, float]]
 
 # Relative tolerance for the uniform-step check on trajectories.
 _STEP_RTOL = 1e-12
+
+# What an RK4 step through a non-finite stage state returns.
+_NON_FINITE = (math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -224,47 +227,54 @@ def rhs_growth(n: float, p: GrowthParams) -> float:
     return -p.gamma * n + p.mu
 
 
-def rhs_classical(s: FleetState, p: ClassicalLvmParams) -> tuple[float, float]:
+def rhs_classical(x: float, y: float, p: ClassicalLvmParams) -> tuple[float, float]:
     """Classical predator-prey rates: dx = x(gamma_c - a*y), dy = y(epsilon*x - gamma_h)."""
-    return s.x * (p.gamma_c - p.a * s.y), s.y * (p.epsilon * s.x - p.gamma_h)
+    return x * (p.gamma_c - p.a * y), y * (p.epsilon * x - p.gamma_h)
 
 
-def rhs_modified(s: FleetState, p: LvmParams) -> tuple[float, float]:
+def rhs_modified(x: float, y: float, p: LvmParams) -> tuple[float, float]:
     """Source-fed competition rates: dx = x(-gamma_c - a*y) + mu_c, dy = y(epsilon*x - gamma_h) + mu_h."""
     return (
-        s.x * (-p.gamma_c - p.a * s.y) + p.mu_c,
-        s.y * (p.epsilon * s.x - p.gamma_h) + p.mu_h,
+        x * (-p.gamma_c - p.a * y) + p.mu_c,
+        y * (p.epsilon * x - p.gamma_h) + p.mu_h,
     )
 
 
 def growth_system(p: GrowthParams) -> RhsFunc:
     """Growth model embedded on the x component (y stays constant)."""
-    return lambda s: (rhs_growth(s.x, p), 0.0)
+    return lambda x, y: (rhs_growth(x, p), 0.0)
 
 
 def classical_system(p: ClassicalLvmParams) -> RhsFunc:
-    return lambda s: rhs_classical(s, p)
+    return lambda x, y: rhs_classical(x, y, p)
 
 
 def modified_system(p: LvmParams) -> RhsFunc:
-    return lambda s: rhs_modified(s, p)
+    return lambda x, y: rhs_modified(x, y, p)
 
 
-def rk4_step(rhs: RhsFunc, s: FleetState, dt: float) -> FleetState:
+def _rk4(rhs: RhsFunc, x: float, y: float, dt: float) -> tuple[float, float]:
     """One classical fourth-order Runge-Kutta step of size dt.
 
     Negative components are not clamped; non-negativity is a post-hoc
-    trajectory check so that blow-up regimes stay visible.
+    trajectory check so that blow-up regimes stay visible. The RHS is never
+    evaluated at a non-finite stage state: the step then returns (nan, nan),
+    so a finiteness check of the result covers every stage.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    t, x, y = s.t, s.x, s.y
-    k1x, k1y = rhs(s)
-    k2x, k2y = rhs(FleetState(t + 0.5 * dt, x + 0.5 * dt * k1x, y + 0.5 * dt * k1y))
-    k3x, k3y = rhs(FleetState(t + 0.5 * dt, x + 0.5 * dt * k2x, y + 0.5 * dt * k2y))
-    k4x, k4y = rhs(FleetState(t + dt, x + dt * k3x, y + dt * k3y))
-    return FleetState(
-        t + dt,
+    k1x, k1y = rhs(x, y)
+    x2, y2 = x + 0.5 * dt * k1x, y + 0.5 * dt * k1y
+    if not (isfinite(x2) and isfinite(y2)):
+        return _NON_FINITE
+    k2x, k2y = rhs(x2, y2)
+    x3, y3 = x + 0.5 * dt * k2x, y + 0.5 * dt * k2y
+    if not (isfinite(x3) and isfinite(y3)):
+        return _NON_FINITE
+    k3x, k3y = rhs(x3, y3)
+    x4, y4 = x + dt * k3x, y + dt * k3y
+    if not (isfinite(x4) and isfinite(y4)):
+        return _NON_FINITE
+    k4x, k4y = rhs(x4, y4)
+    return (
         x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
         y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
     )
@@ -288,32 +298,19 @@ def integrate(rhs: RhsFunc, s0: FleetState, t_end: float, dt: float) -> Trajecto
         remainder = 0.0
         n_full = max(n_full, 1)
 
-    ts = [s0.t]
-    xs = [s0.x]
-    ys = [s0.y]
-    s = s0
-    for i in range(n_full):
-        try:
-            s = rk4_step(rhs, s, dt)
-        except ValidationError as exc:  # non-finite state rejected by FleetState
-            raise IntegrationError(
-                f"state became non-finite near t={s.t + dt}: {exc}"
-            ) from exc
-        # Regenerate t from the grid to avoid accumulation drift.
-        s = FleetState(s0.t + (i + 1) * dt, s.x, s.y)
-        ts.append(s.t)
-        xs.append(s.x)
-        ys.append(s.y)
-    if remainder > 0.0:
-        try:
-            s = rk4_step(rhs, s, remainder)
-        except ValidationError as exc:
-            raise IntegrationError(f"state became non-finite near t={t_end}: {exc}") from exc
-        ts.append(t_end)
-        xs.append(s.x)
-        ys.append(s.y)
-    else:
-        ts[-1] = t_end
+    x, y = s0.x, s0.y
+    ts, xs, ys = [s0.t], [x], [y]
+    for i, h in enumerate([dt] * n_full + ([remainder] if remainder else []), start=1):
+        x, y = _rk4(rhs, x, y, h)
+        if not (isfinite(x) and isfinite(y)):
+            near = ts[-1] + dt if i <= n_full else t_end
+            raise IntegrationError(f"state became non-finite near t={near}")
+        # Regenerate t from the grid to avoid accumulation drift; the last
+        # point, after a full or a shortened step, is t_end exactly.
+        ts.append(s0.t + i * dt)
+        xs.append(x)
+        ys.append(y)
+    ts[-1] = t_end
 
     return Trajectory(np.array(ts), np.array(xs), np.array(ys))
 

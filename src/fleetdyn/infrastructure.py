@@ -75,18 +75,18 @@ class StationSpec:
 
     kind: StationKind
     capacity_per_day: float  # kg/day
-    capacity_per_year: float  # kg/year, must equal 365 * capacity_per_day
     capex: float  # GBP per station
 
     def __post_init__(self):
         if self.capacity_per_day <= 0:
             raise ValidationError("capacity_per_day must be positive")
-        if self.capacity_per_year != DAYS_PER_YEAR * self.capacity_per_day:
-            raise ValidationError(
-                f"capacity_per_year must be {DAYS_PER_YEAR} * capacity_per_day"
-            )
         if self.capex <= 0:
             raise ValidationError("capex must be positive")
+
+    @property
+    def capacity_per_year(self) -> float:
+        """kg/year at full daily output every day of the year."""
+        return DAYS_PER_YEAR * self.capacity_per_day
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,21 @@ class VehicleSpec:
 
     kind: VehicleKind
     tank: float  # kg
-    annual_consumption: float  # kg/year, must equal 52 * tank
 
     def __post_init__(self):
         if self.tank <= 0:
             raise ValidationError("tank must be positive")
-        if self.annual_consumption != REFUELLINGS_PER_YEAR * self.tank:
-            raise ValidationError(
-                f"annual_consumption must be {REFUELLINGS_PER_YEAR} * tank"
-            )
+
+    @property
+    def annual_consumption(self) -> float:
+        """kg/year with one full tank a week."""
+        return REFUELLINGS_PER_YEAR * self.tank
 
 
-SMALL_STATION = StationSpec(StationKind.SMALL, 200.0, 73000.0, 1e6)
-LARGE_STATION = StationSpec(StationKind.LARGE, 1000.0, 365000.0, 5e6)
-HFC_VEHICLE = VehicleSpec(VehicleKind.HFC, 5.0, 260.0)
-HFCRE_VEHICLE = VehicleSpec(VehicleKind.HFCRE, 1.5, 78.0)
+SMALL_STATION = StationSpec(StationKind.SMALL, 200.0, 1e6)
+LARGE_STATION = StationSpec(StationKind.LARGE, 1000.0, 5e6)
+HFC_VEHICLE = VehicleSpec(VehicleKind.HFC, 5.0)
+HFCRE_VEHICLE = VehicleSpec(VehicleKind.HFCRE, 1.5)
 
 # Deployment scenarios: which station powers which fleet.
 SCENARIO_BINDINGS = {

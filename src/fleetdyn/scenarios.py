@@ -29,6 +29,7 @@ __all__ = [
     "zev_share",
     "compare_targets",
     "new_hydrogen_vehicles_per_year",
+    "sample_yearly",
     "write_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -170,10 +171,13 @@ def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
     return (y_plus - y_minus) / (2.0 * dt)
 
 
-def _yearly_times(traj: Trajectory) -> np.ndarray:
+def sample_yearly(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer years inside the trajectory's span, with x and y
+    linearly interpolated on the integration grid at those years."""
     first = int(np.ceil(traj.t[0] - 1e-9))
     last = int(np.floor(traj.t[-1] + 1e-9))
-    return np.arange(first, last + 1, dtype=float)
+    years = np.arange(first, last + 1, dtype=float)
+    return years, np.interp(years, traj.t, traj.x), np.interp(years, traj.t, traj.y)
 
 
 def write_trajectory_csv(traj: Trajectory, path, yearly: bool = True) -> None:
@@ -183,11 +187,10 @@ def write_trajectory_csv(traj: Trajectory, path, yearly: bool = True) -> None:
     per integer year is emitted, interpolated on the integration grid;
     otherwise every grid point is written.
     """
-    times = _yearly_times(traj) if yearly else traj.t
+    columns = sample_yearly(traj) if yearly else (traj.t, traj.x, traj.y)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\n")
-        for t in times:
-            x, y = traj.sample(float(t))
+        for t, x, y in zip(*(c.tolist() for c in columns)):
             fh.write(f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n")
 
 

@@ -1,5 +1,7 @@
 """Data ingestion, error metric and growth-model fitting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,12 +54,13 @@ def test_fleet_series_validation():
 
 def test_fuel_mass_model_validation():
     m = FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=260.0)
-    assert m.m_w_dot == 0.0
-    assert m.m_t_dot == m.m_dot
-    with pytest.raises(ValidationError):
-        FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=260.0, m_w_dot=10.0)
+    assert (m.m_dot, m.m_i, m.m_i_dot) == (1e9, 5.0, 260.0)
     with pytest.raises(ValidationError):
         FuelMassModel(m_dot=-1.0, m_i=5.0, m_i_dot=260.0)
+    with pytest.raises(ValidationError):
+        FuelMassModel(m_dot=1e9, m_i=-5.0, m_i_dot=260.0)
+    with pytest.raises(ValidationError):
+        FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=math.nan)
 
 
 # ------------------------------------------------------- derive growth params

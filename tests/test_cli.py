@@ -269,6 +269,24 @@ def test_out_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "env_out").exists()
 
 
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    assert run_cli("batch", "--out", str(existing)) == 2
+    assert "--out" in capsys.readouterr().err
+    assert existing.read_text() == ""
+
+
+def test_config_only_on_commands_that_read_it(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("uptake = 0.9\n")
+    out = str(tmp_path / "o")
+    assert run_cli("infra", "--id", "S2", "--config", str(cfg), "--out", out) == 2
+    assert run_cli("batch", "--config", str(tmp_path / "missing.cfg"), "--out", out) == 2
+    assert run_cli("fit", "--data", "x.csv", "--config", str(cfg), "--out", out) == 2
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------- module runner
 
 def test_python_m_entry_point(tmp_path):

@@ -23,7 +23,6 @@ from fleetdyn import (
     rhs_classical,
     rhs_growth,
     rhs_modified,
-    rk4_step,
 )
 
 GROWTH = GrowthParams(gamma=0.01, mu=0.65)
@@ -119,28 +118,28 @@ def test_rhs_growth_fixed_point_any_params():
 
 def test_rhs_classical_fixed_point_and_hand_values(orbit_params):
     # fixed point (gamma_h/eps, gamma_c/a) = (1, 0.5)
-    dx, dy = rhs_classical(FleetState(0.0, 1.0, 0.5), orbit_params)
+    dx, dy = rhs_classical(1.0, 0.5, orbit_params)
     assert dx == pytest.approx(0.0, abs=1e-15)
     assert dy == pytest.approx(0.0, abs=1e-15)
     # no predators: pure exponential prey growth
-    dx, dy = rhs_classical(FleetState(0.0, 1.0, 0.0), orbit_params)
+    dx, dy = rhs_classical(1.0, 0.0, orbit_params)
     assert (dx, dy) == (orbit_params.gamma_c, 0.0)
-    dx, dy = rhs_classical(FleetState(0.0, 2.0, 1.0), orbit_params)
+    dx, dy = rhs_classical(2.0, 1.0, orbit_params)
     assert dx == pytest.approx(-4.0 / 3.0, rel=1e-12)
     assert dy == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rhs_modified_sources_and_collapse_point():
     p = LvmParams(gamma_c=0.3, gamma_h=0.2, a=0.1, epsilon=0.4, mu_c=0.65, mu_h=0.35)
-    assert rhs_modified(FleetState(0.0, 0.0, 0.0), p) == (0.65, 0.35)
+    assert rhs_modified(0.0, 0.0, p) == (0.65, 0.35)
     # with y = 0 and mu_h = 0 the x equation is the growth model
     p2 = LvmParams(gamma_c=0.01, gamma_h=0.2, a=0.1, epsilon=0.4, mu_c=0.65, mu_h=0.0)
-    dx, dy = rhs_modified(FleetState(0.0, 65.0, 0.0), p2)
+    dx, dy = rhs_modified(65.0, 0.0, p2)
     assert dx == pytest.approx(0.0, abs=1e-15)
     assert dy == 0.0
     # moderate-scenario start
     mod = LvmParams(gamma_c=0.01, gamma_h=0.01, a=0.005, epsilon=0.005, mu_c=0.65, mu_h=0.35)
-    dx, dy = rhs_modified(FleetState(2020.0, 28.95, 0.0), mod)
+    dx, dy = rhs_modified(28.95, 0.0, mod)
     assert dx == pytest.approx(0.3605, abs=1e-12)
     assert dy == 0.35
 
@@ -149,7 +148,9 @@ def test_rhs_modified_sources_and_collapse_point():
 
 def test_rk4_step_identity_on_zero_rhs():
     s = FleetState(3.0, 1.5, 0.5)
-    out = rk4_step(lambda _: (0.0, 0.0), s, 0.25)
+    traj = integrate(lambda x, y: (0.0, 0.0), s, 3.25, 0.25)
+    assert len(traj) == 2
+    out = traj.final
     assert (out.t, out.x, out.y) == (3.25, 1.5, 0.5)
 
 
@@ -157,7 +158,7 @@ def test_rk4_step_rejects_nonpositive_dt():
     s = FleetState(0.0, 1.0, 1.0)
     for dt in (0.0, -0.1):
         with pytest.raises(ValidationError):
-            rk4_step(lambda _: (0.0, 0.0), s, dt)
+            integrate(lambda x, y: (0.0, 0.0), s, 1.0, dt)
 
 
 def test_rk4_growth_matches_closed_form_1960_2020():
@@ -171,7 +172,7 @@ def test_rk4_growth_matches_closed_form_1960_2020():
 
 def test_rk4_single_step_local_error():
     s = FleetState(0.0, 0.38, 0.0)
-    out = rk4_step(growth_system(GROWTH), s, 0.1)
+    out = integrate(growth_system(GROWTH), s, 0.1, 0.1).final
     exact = growth_closed_form(GROWTH, 0.38, 0.1)
     assert abs(out.x - exact) / exact < 1e-10
 
@@ -192,12 +193,12 @@ def test_rk4_convergence_order():
 # ------------------------------------------------------------- integrate
 
 def test_integrate_single_step_and_preconditions():
-    traj = integrate(lambda s: (1.0, 0.0), FleetState(0.0, 0.0, 0.0), 0.5, 0.5)
+    traj = integrate(lambda x, y: (1.0, 0.0), FleetState(0.0, 0.0, 0.0), 0.5, 0.5)
     assert len(traj) == 2
     with pytest.raises(ValidationError):
-        integrate(lambda s: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 1.0, 0.1)
+        integrate(lambda x, y: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 1.0, 0.1)
     with pytest.raises(ValidationError):
-        integrate(lambda s: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 2.0, -0.1)
+        integrate(lambda x, y: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 2.0, -0.1)
 
 
 def test_integrate_shortens_final_partial_step():
@@ -210,7 +211,22 @@ def test_integrate_shortens_final_partial_step():
 
 def test_integrate_rejects_blowup():
     with pytest.raises(IntegrationError):
-        integrate(lambda s: (1e308, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
+        integrate(lambda x, y: (1e308, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
+
+
+def test_integrate_checks_every_stage_state():
+    # Only the first RHS value is huge, so the step result alone would be
+    # finite (1 + 4/6 * 1e308), but the midpoint stage 1 + 2 * 1e308 is not.
+    seen = []
+
+    def rhs(x, y):
+        seen.append((x, y))
+        return (1e308, 0.0) if len(seen) == 1 else (0.0, 0.0)
+
+    with pytest.raises(IntegrationError, match=r"non-finite near t=4\.0$"):
+        integrate(rhs, FleetState(0.0, 1.0, 0.0), 4.0, 4.0)
+    # the RHS is never evaluated at a non-finite state
+    assert seen == [(1.0, 0.0)]
 
 
 def test_integrate_classical_orbit_closes(orbit_params):

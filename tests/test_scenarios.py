@@ -23,6 +23,7 @@ from fleetdyn.scenarios import (
     BUILTIN_SCENARIO_NAMES,
     builtin_targets,
     load_trajectory_csv,
+    sample_yearly,
     write_trajectory_csv,
 )
 
@@ -120,6 +121,16 @@ def test_total_fleet_bounds_and_nonnegativity(trajectories):
         assert traj.x.min() >= 0.0 and traj.y.min() >= 0.0
 
 
+@pytest.mark.parametrize("name, x, y", [
+    ("low", 36.51126318934351, 15.043782833644393),
+    ("moderate", 1.937198080332873, 66.13797901913829),
+    ("aggressive", 0.7713333877117166, 83.82397478824281),
+])
+def test_builtin_final_state_2100_bit_exact(trajectories, name, x, y):
+    final = trajectories[name].final
+    assert (final.t, final.x, final.y) == (2100.0, x, y)
+
+
 def test_run_scenario_deterministic():
     spec = builtin_scenario("moderate")
     a, b = run_scenario(spec), run_scenario(spec)
@@ -210,6 +221,16 @@ def test_trajectory_csv_round_trip(tmp_path, trajectories):
     assert ly == pytest.approx(y2050, abs=5e-7)
     # fixed 6-decimal formatting
     assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
+
+
+def test_sample_yearly_matches_pointwise_sample(trajectories):
+    params = LvmParams(0.02, 0.01, 0.004, 0.006, 0.5, 0.3)
+    odd = run_scenario(ScenarioSpec("odd", params, FleetState(2020.4, 10.0, 1.0), 2030.7, 0.3))
+    for traj, first, last in [(trajectories["low"], 2020, 2100), (odd, 2021, 2030)]:
+        years, xs, ys = sample_yearly(traj)
+        assert years.tolist() == list(range(first, last + 1))
+        # one vectorised interpolation per column equals the per-year sample
+        assert list(zip(xs.tolist(), ys.tolist())) == [traj.sample(t) for t in years.tolist()]
 
 
 def test_trajectory_csv_full_resolution(tmp_path, trajectories):
