@@ -63,7 +63,6 @@ from .infrastructure import (
     vehicles_per_station,
 )
 from .scenarios import (
-    Metric,
     ScenarioSpec,
     TargetCheck,
     builtin_scenario,

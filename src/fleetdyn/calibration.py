@@ -4,7 +4,8 @@ The fit minimises the sum of squared residuals between the growth-model
 closed form and the data over (gamma, mu, n0) with a damped Gauss-Newton
 iteration (Levenberg-Marquardt style multiplicative damping). It is fully
 deterministic: fixed initialisation, fixed damping schedule, fixed
-stopping rule.
+stopping rule. Each trial point is evaluated once; a rejected step only
+re-solves the damped normal equations of the current point.
 """
 
 from __future__ import annotations
@@ -141,16 +142,21 @@ def mean_error(data: FleetSeries, model: Trajectory) -> tuple[float, float]:
     return float(errors.mean()), float(errors.std())
 
 
-def _model_and_jacobian(theta, t):
-    """Closed-form model values and Jacobian columns d/d(gamma, mu, n0)."""
+def _model(theta, t):
+    """Closed-form model values at theta, with e = exp(-gamma*t) for _jacobian."""
     gamma, mu, n0 = theta
     e = np.exp(-gamma * t)
     n_inf = mu / gamma
-    model = n_inf + (n0 - n_inf) * e
+    return n_inf + (n0 - n_inf) * e, e
+
+
+def _jacobian(theta, t, e):
+    """Jacobian columns d/d(gamma, mu, n0) at theta, from the e of _model."""
+    gamma, mu, n0 = theta
+    n_inf = mu / gamma
     d_gamma = (mu / gamma**2) * (e - 1.0) - t * (n0 - n_inf) * e
     d_mu = (1.0 - e) / gamma
-    d_n0 = e
-    return model, np.column_stack([d_gamma, d_mu, d_n0])
+    return np.column_stack([d_gamma, d_mu, e])
 
 
 def fit_growth(data: FleetSeries) -> FitResult:
@@ -161,6 +167,11 @@ def fit_growth(data: FleetSeries) -> FitResult:
     on a rejected step and divided by 10 on an accepted one; stop when the
     relative residual-norm decrease falls below 1e-10 (or the residual is
     exactly fitted), failing after 200 iterations.
+
+    Each trial point is evaluated once. The normal equations are built
+    only at an accepted point, from that evaluation; a rejected step (a
+    singular system, a candidate outside gamma > 0, mu >= 0, or no
+    residual decrease) only raises the damping and re-solves them.
     """
     if len(data) < 3:
         raise ValidationError("fit needs at least 3 data points")
@@ -174,9 +185,9 @@ def fit_growth(data: FleetSeries) -> FitResult:
     n0 = float(f[0])
     theta = np.array([gamma, mu, n0])
 
-    model, _ = _model_and_jacobian(theta, t)
+    model, e = _model(theta, t)
     r = model - f
-    norm = float(np.sqrt(r @ r))
+    norm = math.sqrt(r @ r)
     lam = 1e-3
 
     def result(theta, norm, it):
@@ -195,12 +206,15 @@ def fit_growth(data: FleetSeries) -> FitResult:
             ssr=norm**2,
         )
 
-    for it in range(1, _MAX_ITER + 1):
-        model, jac = _model_and_jacobian(theta, t)
+    def normal_equations(theta, r, e):
+        jac = _jacobian(theta, t, e)
         jtj = jac.T @ jac
-        grad = jac.T @ r
+        return jtj, np.diag(np.diag(jtj)), -(jac.T @ r)
+
+    jtj, damping, neg_grad = normal_equations(theta, r, e)
+    for it in range(1, _MAX_ITER + 1):
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+            step = np.linalg.solve(jtj + lam * damping, neg_grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -209,15 +223,16 @@ def fit_growth(data: FleetSeries) -> FitResult:
         if candidate[0] <= 0 or candidate[1] < 0:
             lam *= 10.0
             continue
-        model2, _ = _model_and_jacobian(candidate, t)
+        model2, e2 = _model(candidate, t)
         r2 = model2 - f
-        norm2 = float(np.sqrt(r2 @ r2))
+        norm2 = math.sqrt(r2 @ r2)
         if norm2 < norm:
             improvement = (norm - norm2) / norm
             theta, r, norm = candidate, r2, norm2
             lam = max(lam * 0.1, 1e-14)
             if improvement < _REL_TOL or norm < _NORM_FLOOR:
                 return result(theta, norm, it)
+            jtj, damping, neg_grad = normal_equations(theta, r, e2)
         else:
             lam *= 10.0
             if lam > 1e15:
@@ -230,8 +245,16 @@ def fit_growth(data: FleetSeries) -> FitResult:
     )
 
 
+def _is_blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def load_fleet_csv(path) -> FleetSeries:
-    """Read a `year,fleet_mveh` CSV into a validated FleetSeries."""
+    """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
+
+    A value that is not positive and finite, or a year that does not
+    follow the one before, is reported with its file and line.
+    """
     years = []
     fleet = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -244,8 +267,8 @@ def load_fleet_csv(path) -> FleetSeries:
                 f"{path}: line 1: expected header 'year,fleet_mveh', got {','.join(header)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
+            if _is_blank(row):
+                continue
             if len(row) != 2:
                 raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             try:
@@ -257,7 +280,31 @@ def load_fleet_csv(path) -> FleetSeries:
             fleet.append(value)
     if not years:
         raise ParseError(f"{path}: no data rows")
-    return FleetSeries(np.array(years), np.array(fleet))
+    try:
+        return FleetSeries(np.array(years), np.array(fleet))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {_first_bad_row(path, years, fleet) or exc}") from exc
+
+
+def _first_bad_row(path, years, fleet) -> str | None:
+    """Name the line of the first row FleetSeries rejects.
+
+    Only a file that failed validation is read again for its line numbers,
+    so a valid file costs nothing extra.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        next(rows)
+        lines = [lineno for lineno, row in rows if not _is_blank(row)]
+    for i, (year, value) in enumerate(zip(years, fleet)):
+        if not (value > 0 and math.isfinite(value)):
+            return f"line {lines[i]}: fleet value {value} must be positive and finite"
+        if i and year <= years[i - 1]:
+            return (
+                f"line {lines[i]}: year {year} does not follow {years[i - 1]}; "
+                "years must be strictly increasing"
+            )
+    return None
 
 
 def bundled_uk_fleet_series() -> FleetSeries:

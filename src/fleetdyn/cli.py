@@ -142,7 +142,7 @@ def _write_target_report(path, checks) -> None:
         fh.write("year,metric,expected,tolerance,observed,pass\n")
         for c in checks:
             fh.write(
-                f"{c.year:.0f},{c.metric.value},{c.expected:.6f},"
+                f"{c.year:.0f},{c.metric},{c.expected:.6f},"
                 f"{c.tolerance:.6f},{c.observed:.6f},{'pass' if c.passed else 'fail'}\n"
             )
 
@@ -170,7 +170,7 @@ def cmd_scenario(args) -> int:
         print(f"wrote {report}")
         for c in checks:
             print(
-                f"{spec.name} {c.metric.value} {c.year:.0f}: observed {c.observed:.4f} "
+                f"{spec.name} {c.metric} {c.year:.0f}: observed {c.observed:.4f} "
                 f"vs expected {c.expected:.2f} +- {c.tolerance:.2f} -> "
                 f"{'pass' if c.passed else 'fail'}"
             )
@@ -264,7 +264,7 @@ def cmd_batch(args) -> int:
         fh.write("scenario,year,metric,expected,tolerance,observed,pass\n")
         for name, c in all_checks:
             fh.write(
-                f"{name},{c.year:.0f},{c.metric.value},{c.expected:.6f},"
+                f"{name},{c.year:.0f},{c.metric},{c.expected:.6f},"
                 f"{c.tolerance:.6f},{c.observed:.6f},{'pass' if c.passed else 'fail'}\n"
             )
     print(f"wrote {report}")

@@ -43,6 +43,10 @@ _STEP_RTOL = 1e-12
 # What an RK4 step through a non-finite stage state returns.
 _NON_FINITE = (math.nan, math.nan)
 
+# Most steps one integrate call may take: the step lists of 10**6 steps
+# hold about 100 MB.
+_MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class GrowthParams:
@@ -284,15 +288,25 @@ def integrate(rhs: RhsFunc, s0: FleetState, t_end: float, dt: float) -> Trajecto
     """Integrate from s0.t to t_end inclusive on a uniform grid of step dt.
 
     The final step is shortened when (t_end - s0.t) is not a whole number
-    of steps. Raises IntegrationError if the state stops being finite.
+    of steps. Raises ValidationError for a non-finite t_end or dt, or for
+    more than _MAX_STEPS steps, and IntegrationError if the state stops
+    being finite.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and isfinite(dt)):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if not isfinite(t_end):
+        raise ValidationError(f"t_end must be finite, got {t_end}")
     if not t_end > s0.t:
         raise ValidationError(f"t_end ({t_end}) must exceed the initial time ({s0.t})")
 
     span = t_end - s0.t
-    n_full = int(math.floor(span / dt + _STEP_RTOL))
+    steps = span / dt
+    if steps > _MAX_STEPS:
+        raise ValidationError(
+            f"dt = {dt} needs {steps:.4g} steps from {s0.t} to {t_end}; "
+            f"at most {_MAX_STEPS} are allowed"
+        )
+    n_full = int(math.floor(steps + _STEP_RTOL))
     remainder = span - n_full * dt
     if remainder <= _STEP_RTOL * dt:
         remainder = 0.0

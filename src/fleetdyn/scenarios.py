@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .dynamics import FleetState, LvmParams, Trajectory, integrate, modified_sys
 from .errors import ParseError, ValidationError
 
 __all__ = [
-    "Metric",
     "ScenarioSpec",
     "TargetCheck",
     "BUILTIN_SCENARIO_NAMES",
@@ -55,10 +53,6 @@ _BUILTIN = {
 BUILTIN_SCENARIO_NAMES = tuple(_BUILTIN)
 
 
-class Metric(Enum):
-    ZEV_SHARE = "zev_share"
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named parameter set with initial state, horizon and step."""
@@ -81,10 +75,13 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class TargetCheck:
-    """A published target at one year: filled in by compare_targets."""
+    """A published target at one year: filled in by compare_targets.
+
+    metric names the compared quantity; "zev_share" is the only one.
+    """
 
     year: float
-    metric: Metric
+    metric: str
     expected: float
     tolerance: float
     observed: float | None = None
@@ -122,9 +119,9 @@ def builtin_targets(name: str) -> list[TargetCheck]:
     if key not in _BUILTIN:
         raise ValidationError(f"unknown scenario {name!r}")
     if key == "low":
-        return [TargetCheck(year=2050.0, metric=Metric.ZEV_SHARE, expected=0.10, tolerance=0.05)]
+        return [TargetCheck(year=2050.0, metric="zev_share", expected=0.10, tolerance=0.05)]
     if key == "moderate":
-        return [TargetCheck(year=2050.0, metric=Metric.ZEV_SHARE, expected=0.92, tolerance=0.05)]
+        return [TargetCheck(year=2050.0, metric="zev_share", expected=0.92, tolerance=0.05)]
     return []
 
 
@@ -143,11 +140,9 @@ def zev_share(traj: Trajectory, year: float) -> float:
 
 
 def compare_targets(traj: Trajectory, checks: list[TargetCheck]) -> list[TargetCheck]:
-    """Fill the observed value and pass flag of each target template."""
+    """Fill the observed ZEV share and pass flag of each target template."""
     results = []
     for check in checks:
-        if check.metric is not Metric.ZEV_SHARE:
-            raise ValidationError(f"unsupported metric {check.metric}")
         observed = zev_share(traj, check.year)
         results.append(
             replace(

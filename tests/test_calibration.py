@@ -1,12 +1,15 @@
 """Data ingestion, error metric and growth-model fitting."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+import fleetdyn.calibration as calibration
 from fleetdyn import (
     FitError,
+    FitResult,
     FleetSeries,
     FleetState,
     FuelMassModel,
@@ -248,6 +251,170 @@ def test_fit_is_deterministic():
     assert f1.n_iterations == f2.n_iterations
 
 
+# ------------------------------------------------ fit against the reference loop
+
+def _reference_model_and_jacobian(theta, t):
+    gamma, mu, n0 = theta
+    e = np.exp(-gamma * t)
+    n_inf = mu / gamma
+    model = n_inf + (n0 - n_inf) * e
+    d_gamma = (mu / gamma**2) * (e - 1.0) - t * (n0 - n_inf) * e
+    d_mu = (1.0 - e) / gamma
+    d_n0 = e
+    return model, np.column_stack([d_gamma, d_mu, d_n0])
+
+
+def _reference_fit_growth(data):
+    """The damped Gauss-Newton loop that evaluates the model and Jacobian
+    at the current point and again at each candidate: fit_growth must
+    reproduce it bit for bit."""
+    t = (data.years - data.years[0]).astype(float)
+    f = data.fleet
+    span = float(t[-1])
+
+    gamma = 1.0 / span
+    mu = gamma * float(f[-1])
+    n0 = float(f[0])
+    theta = np.array([gamma, mu, n0])
+
+    model, _ = _reference_model_and_jacobian(theta, t)
+    r = model - f
+    norm = float(np.sqrt(r @ r))
+    lam = 1e-3
+
+    def result(theta, norm, it):
+        params = GrowthParams(gamma=float(theta[0]), mu=float(theta[1]))
+        fitted = np.array(
+            [growth_closed_form(params, float(theta[2]), ti) for ti in t]
+        )
+        errs = np.abs((f - fitted) / f)
+        return FitResult(
+            params=params,
+            n0=float(theta[2]),
+            anchor_year=float(data.years[0]),
+            mean_error=float(errs.mean()),
+            std_error=float(errs.std()),
+            n_iterations=it,
+            ssr=norm**2,
+        )
+
+    for it in range(1, 201):
+        model, jac = _reference_model_and_jacobian(theta, t)
+        jtj = jac.T @ jac
+        grad = jac.T @ r
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        candidate = theta + step
+        if candidate[0] <= 0 or candidate[1] < 0:
+            lam *= 10.0
+            continue
+        model2, _ = _reference_model_and_jacobian(candidate, t)
+        r2 = model2 - f
+        norm2 = float(np.sqrt(r2 @ r2))
+        if norm2 < norm:
+            improvement = (norm - norm2) / norm
+            theta, r, norm = candidate, r2, norm2
+            lam = max(lam * 0.1, 1e-14)
+            if improvement < 1e-10 or norm < 1e-12:
+                return result(theta, norm, it)
+        else:
+            lam *= 10.0
+            if lam > 1e15:
+                return result(theta, norm, it)
+
+    raise FitError("fit did not converge within 200 iterations", best=result(theta, norm, 200))
+
+
+def _fit_fields(fit):
+    return (fit.params.gamma, fit.params.mu, fit.n0, fit.anchor_year,
+            fit.mean_error, fit.std_error, fit.n_iterations, fit.ssr)
+
+
+def _growth_values(years, gamma, n0, n_inf):
+    return [n_inf + (n0 - n_inf) * math.exp(-gamma * (y - years[0])) for y in years]
+
+
+def _fit_corpus(count):
+    """Seeded series of four kinds: interior rate with noise, near-linear
+    (these stop at the gamma -> 0 boundary), noise-free and rescaled."""
+    rng = random.Random(4711)
+    corpus = []
+    for i in range(count):
+        kind = i % 4
+        n = rng.randint(5, 40)
+        if kind == 1:
+            step = rng.choice((1, 2, 5))
+            b0, b1 = rng.uniform(5.0, 10.0), rng.uniform(0.2, 0.6)
+            curve = rng.uniform(0.0, 0.01) * b1 / (n * step)
+            noise = rng.uniform(0.0, 0.005)
+            years = [1970 + k * step for k in range(n)]
+            values = [(b0 + b1 * (y - 1970) + curve * (y - 1970) ** 2)
+                      * (1.0 + noise * rng.gauss(0.0, 1.0)) for y in years]
+        else:
+            gamma = rng.uniform(0.03, 0.2)
+            step = max(1, round(rng.uniform(1.0, 4.0) / gamma / (n - 1)))
+            n0 = rng.uniform(2.0, 20.0)
+            years = [1970 + k * step for k in range(n)]
+            values = _growth_values(years, gamma, n0, n0 * rng.uniform(1.5, 4.0))
+            if kind != 2:
+                noise = rng.uniform(0.0, 0.02)
+                values = [v * (1.0 + noise * rng.gauss(0.0, 1.0)) for v in values]
+            if kind == 3:
+                scale = 10.0 ** rng.uniform(-6.0, 6.0)
+                values = [v * scale for v in values]
+        corpus.append(FleetSeries(np.array(years), np.array(values)))
+    return corpus
+
+
+def test_fit_equals_reference_loop_on_uk_series():
+    data = bundled_uk_fleet_series()
+    assert _fit_fields(fit_growth(data)) == _fit_fields(_reference_fit_growth(data))
+
+
+def test_fit_equals_reference_loop_on_seeded_corpus():
+    boundary = interior = 0
+    for data in _fit_corpus(240):
+        fit = fit_growth(data)
+        assert _fit_fields(fit) == _fit_fields(_reference_fit_growth(data))
+        if fit.params.gamma < 1e-6:
+            boundary += 1
+        else:
+            interior += 1
+    # both kinds of stop are covered
+    assert boundary >= 30 and interior >= 120
+
+
+def test_fit_error_equals_reference_loop():
+    # A step to a plateau: gamma grows without bound, so the fit never
+    # meets its stopping rule.
+    data = make_series([(2000, 10.0), (2010, 20.0), (2020, 20.0), (2030, 20.0)])
+    with pytest.raises(FitError) as new:
+        fit_growth(data)
+    with pytest.raises(FitError) as ref:
+        _reference_fit_growth(data)
+    assert str(new.value) == str(ref.value) == "fit did not converge within 200 iterations"
+    assert _fit_fields(new.value.best) == _fit_fields(ref.value.best)
+    assert new.value.best.n_iterations == 200
+
+
+def test_fit_evaluates_each_trial_point_once(monkeypatch):
+    calls = []
+    model = calibration._model
+
+    def counting_model(theta, t):
+        calls.append(tuple(theta))
+        return model(theta, t)
+
+    monkeypatch.setattr(calibration, "_model", counting_model)
+    fit = fit_growth(bundled_uk_fleet_series())
+    # one evaluation at the start point, at most one per iteration after it
+    assert len(calls) <= fit.n_iterations + 1
+    assert len(set(calls)) == len(calls)
+
+
 # ----------------------------------------------------------------- loading
 
 def test_load_fleet_csv_single_row(tmp_path):
@@ -284,3 +451,33 @@ def test_load_fleet_csv_errors(tmp_path):
     non_increasing.write_text("year,fleet_mveh\n1976,8.0\n1971,9.0\n")
     with pytest.raises(ValidationError):
         load_fleet_csv(non_increasing)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+def test_load_fleet_csv_names_line_of_bad_value(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"year,fleet_mveh\n1971,8.0\n1976,10.0\n1981,{value}\n1986,13.0\n")
+    shown = repr(float(value))
+    with pytest.raises(ValidationError) as exc:
+        load_fleet_csv(path)
+    assert str(exc.value) == f"{path}: line 4: fleet value {shown} must be positive and finite"
+
+
+def test_load_fleet_csv_names_line_of_non_increasing_year(tmp_path):
+    path = tmp_path / "years.csv"
+    path.write_text("year,fleet_mveh\n1971,8.0\n1976,10.0\n1976,11.0\n")
+    with pytest.raises(ValidationError) as exc:
+        load_fleet_csv(path)
+    assert str(exc.value) == (
+        f"{path}: line 4: year 1976 does not follow 1976; years must be strictly increasing"
+    )
+
+
+def test_load_fleet_csv_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("year,fleet_mveh\n\n1971,8.0\n\n\n1966,9.0\n1981,nan\n")
+    with pytest.raises(ValidationError, match=r"line 6: year 1966 does not follow 1971"):
+        load_fleet_csv(path)
+    path.write_text("year,fleet_mveh\n\n1971,8.0\n\n\n1976,9.0\n1981,nan\n")
+    with pytest.raises(ValidationError, match=r"line 7: fleet value nan must"):
+        load_fleet_csv(path)

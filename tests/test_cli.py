@@ -62,6 +62,37 @@ def test_growth_invalid_usage_exits_2(tmp_path):
     assert run_cli("growth", "--gamma", "x") == 2  # argparse rejects
 
 
+def test_growth_non_finite_horizon_or_step_exits_2(tmp_path, capsys):
+    base = ["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38", "--t0", "1960",
+            "--out", str(tmp_path / "o")]
+    assert run_cli(*base, "--t1", "inf") == 2
+    assert capsys.readouterr().err == "error: t_end must be finite, got inf\n"
+    assert run_cli(*base, "--t1", "2020", "--dt", "inf") == 2
+    assert capsys.readouterr().err == "error: dt must be positive and finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_growth_step_count_over_cap_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
+        "--t0", "2020", "--t1", "2100", "--dt", "1e-9", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt = 1e-09 needs 8e+10 steps")
+    assert "at most 1000000" in err
+
+
+def test_scenario_infinite_horizon_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "scenario", "--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005",
+        "--epsilon", "0.005", "--mu_c", "0.65", "--mu_h", "0.35", "--t_end", "inf",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "got inf" in capsys.readouterr().err
+
+
 def test_growth_integrator_blowup_exits_1(tmp_path):
     # gamma*dt far outside the RK4 stability region overflows the state
     code = run_cli(
@@ -173,6 +204,15 @@ def test_fit_synthetic_exact_recovery(tmp_path, capsys):
     assert "n0    = 5.000000" in printed
     _, rows = read_rows(out / "fit.csv")
     assert all(float(r[3]) < 1e-6 for r in rows)
+
+
+def test_fit_bad_value_names_file_and_line(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("year,fleet_mveh\n1971,8.0\n1976,nan\n1981,10.0\n")
+    assert run_cli("fit", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 3: fleet value nan must be positive and finite\n"
+    )
 
 
 def test_fit_missing_file_exits_2(tmp_path):

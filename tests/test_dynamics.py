@@ -229,6 +229,43 @@ def test_integrate_checks_every_stage_state():
     assert seen == [(1.0, 0.0)]
 
 
+def test_integrate_rejects_non_finite_horizon_and_step():
+    s = FleetState(2000.0, 1.0, 0.0)
+    for t_end, text in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        with pytest.raises(ValidationError, match=rf"^t_end must be finite, got {text}$"):
+            integrate(lambda x, y: (0.0, 0.0), s, t_end, 0.1)
+    for dt, text in ((math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(ValidationError, match=rf"^dt must be positive and finite, got {text}$"):
+            integrate(lambda x, y: (0.0, 0.0), s, 2020.0, dt)
+
+
+def test_integrate_refuses_more_steps_than_the_cap():
+    calls = []
+
+    def rhs(x, y):
+        calls.append((x, y))
+        return 0.0, 0.0
+
+    s = FleetState(2020.0, 28.95, 0.0)
+    # 8e10 steps, far above the cap: refused before any step list is built
+    with pytest.raises(ValidationError, match=r"^dt = 1e-09 needs 8e\+10 steps from 2020\.0"):
+        integrate(rhs, s, 2100.0, 1e-9)
+    # the smallest subnormal step asks for infinitely many
+    with pytest.raises(ValidationError, match=r"needs inf steps"):
+        integrate(rhs, s, 2100.0, 5e-324)
+    assert calls == []
+
+
+def test_integrate_step_cap_is_inclusive(monkeypatch):
+    import fleetdyn.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+    traj = integrate(lambda x, y: (0.0, 0.0), FleetState(0.0, 1.0, 0.0), 1.0, 0.1)
+    assert len(traj) == 11
+    with pytest.raises(ValidationError, match=r"at most 10 are allowed$"):
+        integrate(lambda x, y: (0.0, 0.0), FleetState(0.0, 1.0, 0.0), 1.0, 0.099)
+
+
 def test_integrate_classical_orbit_closes(orbit_params):
     # Initial condition (r, 0.5r) gives a closed orbit around (1, 0.5).
     traj = integrate(classical_system(orbit_params), FleetState(0.0, 1.5, 0.75), 20.0, 1e-3)

@@ -7,7 +7,6 @@ from fleetdyn import (
     FleetState,
     GrowthParams,
     LvmParams,
-    Metric,
     ParseError,
     ScenarioSpec,
     TargetCheck,
@@ -149,13 +148,13 @@ def test_compare_targets_moderate_passes(trajectories):
 
 
 def test_compare_targets_low_fails_moderate_target(trajectories):
-    template = [TargetCheck(year=2050.0, metric=Metric.ZEV_SHARE, expected=0.92, tolerance=0.05)]
+    template = [TargetCheck(year=2050.0, metric="zev_share", expected=0.92, tolerance=0.05)]
     checks = compare_targets(trajectories["low"], template)
     assert not checks[0].passed
 
 
 def test_compare_targets_tolerance_one_always_passes(trajectories):
-    template = [TargetCheck(year=2050.0, metric=Metric.ZEV_SHARE, expected=0.5, tolerance=1.0)]
+    template = [TargetCheck(year=2050.0, metric="zev_share", expected=0.5, tolerance=1.0)]
     for traj in trajectories.values():
         assert compare_targets(traj, template)[0].passed
 
@@ -163,7 +162,7 @@ def test_compare_targets_tolerance_one_always_passes(trajectories):
 def test_compare_targets_pass_flag_consistency(trajectories):
     for name in BUILTIN_SCENARIO_NAMES:
         for expected in (0.1, 0.5, 0.92):
-            template = [TargetCheck(2050.0, Metric.ZEV_SHARE, expected, 0.05)]
+            template = [TargetCheck(2050.0, "zev_share", expected, 0.05)]
             check = compare_targets(trajectories[name], template)[0]
             assert check.passed == (abs(check.observed - expected) <= 0.05)
 
