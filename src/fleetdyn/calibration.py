@@ -257,6 +257,7 @@ def load_fleet_csv(path) -> FleetSeries:
     """
     years = []
     fleet = []
+    lines = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -278,24 +279,17 @@ def load_fleet_csv(path) -> FleetSeries:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             years.append(year)
             fleet.append(value)
+            lines.append(lineno)
     if not years:
         raise ParseError(f"{path}: no data rows")
     try:
         return FleetSeries(np.array(years), np.array(fleet))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {_first_bad_row(path, years, fleet) or exc}") from exc
+        raise ValidationError(f"{path}: {_first_bad_row(lines, years, fleet) or exc}") from exc
 
 
-def _first_bad_row(path, years, fleet) -> str | None:
-    """Name the line of the first row FleetSeries rejects.
-
-    Only a file that failed validation is read again for its line numbers,
-    so a valid file costs nothing extra.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        next(rows)
-        lines = [lineno for lineno, row in rows if not _is_blank(row)]
+def _first_bad_row(lines, years, fleet) -> str | None:
+    """Name the line of the first row FleetSeries rejects; `lines[i]` is row i's line."""
     for i, (year, value) in enumerate(zip(years, fleet)):
         if not (value > 0 and math.isfinite(value)):
             return f"line {lines[i]}: fleet value {value} must be positive and finite"

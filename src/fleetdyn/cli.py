@@ -6,19 +6,21 @@ Exit codes: 0 success, 1 runtime/model failure, 2 usage or validation
 failure. Every command is deterministic: the same invocation produces
 byte-identical files. Numeric output uses fixed 6-decimal formatting.
 
-The growth, scenario and sensitivity flags can also be supplied through a
-flat key-value configuration file (`key = value`, `#` comments) passed
-with --config; explicit flags win.
-The output directory defaults to ./out, overridable with the FLEETDYN_OUT
-environment variable or the --out flag.
+COMMANDS declares each subcommand's parameters once; flags, config keys,
+defaults and input checks come from it. growth, scenario and sensitivity
+also read a flat `key = value` file (`#` comments) given with --config: a
+flag wins over the file, the file over the default. The output directory
+defaults to ./out, overridable with FLEETDYN_OUT or the --out flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analytics, calibration, infrastructure, scenarios
 from .dynamics import (
@@ -31,27 +33,28 @@ from .dynamics import (
 )
 from .errors import ModelError, ParseError, ValidationError
 
-_GRAD_DEFAULTS = {
-    "mu_h": 0.65,
-    "mu_c": 0.65,
-    "epsilon": 0.01,
-    "a": 0.01,
-    "gamma_h": 0.01,
-    "gamma_c": 0.01,
-}
-
-_SCENARIO_PARAM_KEYS = ("gamma_c", "gamma_h", "a", "epsilon", "mu_c", "mu_h")
-_SCENARIO_FRAME_KEYS = {
-    "x0": scenarios.START_CONVENTIONAL,
-    "y0": scenarios.START_HYDROGEN,
-    "t0": scenarios.START_YEAR,
-    "t_end": scenarios.END_YEAR,
-    "dt": scenarios.DEFAULT_DT,
-}
+REQUIRED = "required"
 
 
-def load_config(path) -> dict[str, str]:
-    """Parse a flat `key = value` file; keys mirror flag names."""
+class Param(NamedTuple):
+    """Flag `--name` and config key `name`; default is a value, REQUIRED or None (unset)."""
+
+    name: str
+    help: str
+    type: Callable = float
+    default: object = None
+    choices: tuple | None = None
+
+
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    params: tuple[Param, ...] = ()
+    config: bool = False
+
+
+def load_config(path) -> dict[str, tuple[int, str]]:
+    """Parse a flat `key = value` file into {key: (line number, value)}."""
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -61,21 +64,41 @@ def load_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            cfg[key.strip().replace("-", "_")] = (lineno, value.strip())
     return cfg
 
 
-def _merge_config(args, keys: dict[str, type]) -> None:
-    """Fill unset flags from the config file; flags override file values."""
-    if args.config is None:
-        return
-    cfg = load_config(args.config)
-    for key, typ in keys.items():
-        if getattr(args, key, None) is None and key in cfg:
+def resolve(args, command: Command) -> None:
+    """Set each parameter from its flag, else the config file, else its default.
+
+    `args.given` maps each parameter the user set to its flag or config line.
+    """
+    cfg = load_config(args.config) if getattr(args, "config", None) else {}
+    names = [p.name for p in command.params]
+    for key, (lineno, _) in cfg.items():
+        if key not in names:
+            raise ParseError(f"{args.config}: line {lineno}: unknown key {key!r}")
+    args.given = {}
+    for p in command.params:
+        value = getattr(args, p.name)
+        if value is not None:
+            args.given[p.name] = f"--{p.name}"
+        elif p.name in cfg:
+            lineno, text = cfg[p.name]
+            where = args.given[p.name] = f"{args.config}: line {lineno}: {p.name}"
             try:
-                setattr(args, key, typ(cfg[key]))
+                value = p.type(text)
             except ValueError as exc:
-                raise ParseError(f"{args.config}: key {key}: {exc}") from exc
+                raise ParseError(f"{where}: {exc}") from exc
+            if p.choices and value not in p.choices:
+                raise ParseError(f"{where}: {text!r} is not one of {', '.join(p.choices)}")
+        elif p.default is REQUIRED:
+            raise ValidationError(f"--{p.name} is required")
+        else:
+            value = p.default
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{args.given[p.name]} must be finite, got {value}")
+        setattr(args, p.name, value)
 
 
 def _outdir(args) -> Path:
@@ -87,18 +110,18 @@ def _outdir(args) -> Path:
     return path
 
 
-def cmd_growth(args) -> int:
-    _merge_config(
-        args, {"gamma": float, "mu": float, "n0": float, "t0": float, "t1": float, "dt": float}
-    )
-    for key in ("gamma", "mu", "n0", "t0", "t1"):
-        if getattr(args, key) is None:
-            raise ValidationError(f"--{key} is required (flag or config)")
-    dt = args.dt if args.dt is not None else 0.1
+def _target_line(c) -> str:
+    return (f"{c.year:.0f},{c.metric},{c.expected:.6f},{c.tolerance:.6f},"
+            f"{c.observed:.6f},{'pass' if c.passed else 'fail'}\n")
 
+
+_TARGET_HEADER = "year,metric,expected,tolerance,observed,pass\n"
+
+
+def cmd_growth(args) -> int:
     params = GrowthParams(gamma=args.gamma, mu=args.mu)
     initial = FleetState(args.t0, args.n0, 0.0).require_nonnegative()
-    traj = integrate(growth_system(params), initial, args.t1, dt)
+    traj = integrate(growth_system(params), initial, args.t1, args.dt)
 
     years, fleet, _ = scenarios.sample_yearly(traj)
     outdir = _outdir(args)
@@ -112,48 +135,26 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def _scenario_spec_from_args(args) -> scenarios.ScenarioSpec:
-    given = [k for k in _SCENARIO_PARAM_KEYS if getattr(args, k) is not None]
-    if args.name is not None:
-        if given:
-            raise ValidationError(
-                "--name selects a builtin scenario; model parameters cannot also be set"
-            )
-        return scenarios.builtin_scenario(args.name)
-    missing = [k for k in _SCENARIO_PARAM_KEYS if getattr(args, k) is None]
-    if missing:
-        raise ValidationError(
-            "custom scenario needs all model parameters; missing: " + ", ".join(missing)
-        )
-    frame = {k: getattr(args, k) if getattr(args, k) is not None else default
-             for k, default in _SCENARIO_FRAME_KEYS.items()}
-    params = LvmParams(**{k: getattr(args, k) for k in _SCENARIO_PARAM_KEYS})
-    return scenarios.ScenarioSpec(
-        name="custom",
-        params=params,
-        initial=FleetState(frame["t0"], frame["x0"], frame["y0"]),
-        t_end=frame["t_end"],
-        dt=frame["dt"],
-    )
-
-
-def _write_target_report(path, checks) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("year,metric,expected,tolerance,observed,pass\n")
-        for c in checks:
-            fh.write(
-                f"{c.year:.0f},{c.metric},{c.expected:.6f},"
-                f"{c.tolerance:.6f},{c.observed:.6f},{'pass' if c.passed else 'fail'}\n"
-            )
-
-
 def cmd_scenario(args) -> int:
-    keys: dict[str, type] = {"name": str}
-    keys.update({k: float for k in _SCENARIO_PARAM_KEYS})
-    keys.update({k: float for k in _SCENARIO_FRAME_KEYS})
-    _merge_config(args, keys)
-
-    spec = _scenario_spec_from_args(args)
+    if args.name is not None:
+        clash = [where for key, where in args.given.items() if key != "name"]
+        if clash:
+            raise ValidationError(f"{clash[0]} cannot be set with --name, a builtin scenario")
+        spec = scenarios.builtin_scenario(args.name)
+    else:
+        model = {key: getattr(args, key) for key, _, _ in _LVM}
+        missing = [k for k, v in model.items() if v is None]
+        if missing:
+            raise ValidationError(
+                "custom scenario needs all model parameters; missing: " + ", ".join(missing)
+            )
+        spec = scenarios.ScenarioSpec(
+            name="custom",
+            params=LvmParams(**model),
+            initial=FleetState(args.t0, args.x0, args.y0),
+            t_end=args.t_end,
+            dt=args.dt,
+        )
     traj = scenarios.run_scenario(spec)
 
     outdir = _outdir(args)
@@ -162,11 +163,12 @@ def cmd_scenario(args) -> int:
     print(f"wrote {path}")
 
     if args.targets:
-        checks = scenarios.compare_targets(traj, scenarios.builtin_targets(spec.name)
-                                           if spec.name in scenarios.BUILTIN_SCENARIO_NAMES
-                                           else [])
+        targets = scenarios.builtin_targets(spec.name) if args.name is not None else []
+        checks = scenarios.compare_targets(traj, targets)
         report = outdir / f"{spec.name}_targets.csv"
-        _write_target_report(report, checks)
+        with open(report, "w", newline="", encoding="utf-8") as fh:
+            fh.write(_TARGET_HEADER)
+            fh.writelines(map(_target_line, checks))
         print(f"wrote {report}")
         for c in checks:
             print(
@@ -199,12 +201,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    _merge_config(args, {k: float for k in _GRAD_DEFAULTS})
-    values = {
-        k: getattr(args, k) if getattr(args, k) is not None else default
-        for k, default in _GRAD_DEFAULTS.items()
-    }
-    params = LvmParams(**values)
+    params = LvmParams(**{key: getattr(args, key) for key, _, _ in _LVM})
 
     equilibrium = analytics.asymptotic_state(params)
     stability = analytics.classify_stability(params)
@@ -252,23 +249,66 @@ def cmd_batch(args) -> int:
     outdir = _outdir(args)
     all_checks = []
     for name in scenarios.BUILTIN_SCENARIO_NAMES:
-        spec = scenarios.builtin_scenario(name)
-        traj = scenarios.run_scenario(spec)
+        traj = scenarios.run_scenario(scenarios.builtin_scenario(name))
         path = outdir / f"{name}.csv"
         scenarios.write_trajectory_csv(traj, path)
         print(f"wrote {path}")
-        for check in scenarios.compare_targets(traj, scenarios.builtin_targets(name)):
-            all_checks.append((name, check))
+        checks = scenarios.compare_targets(traj, scenarios.builtin_targets(name))
+        all_checks += [(name, c) for c in checks]
     report = outdir / "batch_targets.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:
-        fh.write("scenario,year,metric,expected,tolerance,observed,pass\n")
-        for name, c in all_checks:
-            fh.write(
-                f"{name},{c.year:.0f},{c.metric},{c.expected:.6f},"
-                f"{c.tolerance:.6f},{c.observed:.6f},{'pass' if c.passed else 'fail'}\n"
-            )
+        fh.write("scenario," + _TARGET_HEADER)
+        fh.writelines(f"{name},{_target_line(c)}" for name, c in all_checks)
     print(f"wrote {report}")
     return 0
+
+
+# The competition model's parameters: name, help, and the value of the
+# published gradient study that `sensitivity` defaults to.
+_LVM = (
+    ("gamma_c", "conventional-fleet rate, 1/year", 0.01),
+    ("gamma_h", "hydrogen-fleet rate, 1/year", 0.01),
+    ("a", "competition coefficient a, 1/(year*Mveh)", 0.01),
+    ("epsilon", "competition coefficient epsilon, 1/(year*Mveh)", 0.01),
+    ("mu_c", "conventional resource inflow, Mveh/year", 0.65),
+    ("mu_h", "hydrogen resource inflow, Mveh/year", 0.65),
+)
+
+COMMANDS = {
+    "growth": Command(cmd_growth, "simulate the first-order growth model", (
+        Param("gamma", "growth rate, 1/year", default=REQUIRED),
+        Param("mu", "resource inflow, Mveh/year", default=REQUIRED),
+        Param("n0", "initial fleet, Mveh", default=REQUIRED),
+        Param("t0", "start year", default=REQUIRED),
+        Param("t1", "end year", default=REQUIRED),
+        Param("dt", "integration step, years", default=0.1),
+    ), config=True),
+    "scenario": Command(cmd_scenario, "run a named or custom transition scenario", (
+        Param("name", "builtin scenario, set alone; without it all six model parameters "
+              "are required", str, choices=scenarios.BUILTIN_SCENARIO_NAMES),
+        *(Param(key, text) for key, text, _ in _LVM),
+        Param("x0", "initial conventional fleet, Mveh", default=scenarios.START_CONVENTIONAL),
+        Param("y0", "initial hydrogen fleet, Mveh", default=scenarios.START_HYDROGEN),
+        Param("t0", "start year", default=scenarios.START_YEAR),
+        Param("t_end", "end year", default=scenarios.END_YEAR),
+        Param("dt", "integration step, years", default=scenarios.DEFAULT_DT),
+    ), config=True),
+    "fit": Command(cmd_fit, "fit the growth model to a fleet CSV", (
+        Param("data", "CSV file with header year,fleet_mveh", str, REQUIRED),
+    )),
+    "sensitivity": Command(cmd_sensitivity, "equilibrium and parameter gradients", tuple(
+        Param(key, text, default=default) for key, text, default in _LVM
+    ), config=True),
+    "infra": Command(cmd_infra, "refuelling-station deployment plan", (
+        Param("id", "deployment scenario S1..S4", str, REQUIRED),
+        Param("uptake", "Mveh/year absorbed", default=0.35),
+        Param("horizon", "build horizon in years", int, 30),
+        Param("basis", "station support model; 'annual' is a sensitivity variant", str,
+              "daily", ("daily", "annual")),
+        Param("utilization", "station utilization factor", default=1.0),
+    )),
+    "batch": Command(cmd_batch, "run all builtin scenarios with target checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,61 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fleet-growth and competition forecasting with infrastructure planning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, config=False):
-        p.add_argument("--out", help="output directory (default ./out or $FLEETDYN_OUT)")
-        if config:
-            p.add_argument("--config", help="key = value configuration file; flags override")
-
-    p = sub.add_parser("growth", help="simulate the first-order growth model")
-    p.add_argument("--gamma", type=float, help="growth rate, 1/year")
-    p.add_argument("--mu", type=float, help="resource inflow, Mveh/year")
-    p.add_argument("--n0", type=float, help="initial fleet, Mveh")
-    p.add_argument("--t0", type=float, help="start year")
-    p.add_argument("--t1", type=float, help="end year")
-    p.add_argument("--dt", type=float, help="integration step, years (default 0.1)")
-    add_common(p, config=True)
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("scenario", help="run a named or custom transition scenario")
-    p.add_argument("--name", choices=scenarios.BUILTIN_SCENARIO_NAMES, help="builtin scenario")
-    for key in _SCENARIO_PARAM_KEYS:
-        p.add_argument(f"--{key}", type=float, help=f"custom model parameter {key}")
-    for key in _SCENARIO_FRAME_KEYS:
-        p.add_argument(f"--{key}", type=float, help=f"custom scenario frame value {key}")
-    p.add_argument("--targets", action="store_true", help="append a target-check report")
-    add_common(p, config=True)
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("fit", help="fit the growth model to a fleet CSV")
-    p.add_argument("--data", required=True, help="CSV file with header year,fleet_mveh")
-    add_common(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("sensitivity", help="equilibrium and parameter gradients")
-    for key, default in _GRAD_DEFAULTS.items():
-        p.add_argument(f"--{key}", type=float, help=f"model parameter (default {default})")
-    add_common(p, config=True)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("infra", help="refuelling-station deployment plan")
-    p.add_argument("--id", required=True, help="deployment scenario S1..S4")
-    p.add_argument("--uptake", type=float, default=0.35, help="Mveh/year absorbed (default 0.35)")
-    p.add_argument("--horizon", type=int, default=30, help="build horizon in years (default 30)")
-    p.add_argument(
-        "--basis",
-        choices=("daily", "annual"),
-        default="daily",
-        help="station support model; 'annual' is a sensitivity variant",
-    )
-    p.add_argument("--utilization", type=float, default=1.0, help="station utilization factor")
-    add_common(p)
-    p.set_defaults(func=cmd_infra)
-
-    p = sub.add_parser("batch", help="run all builtin scenarios with target checks")
-    add_common(p)
-    p.set_defaults(func=cmd_batch)
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for p in command.params:
+            note = "required" if p.default is REQUIRED else f"default {p.default}"
+            sp.add_argument(f"--{p.name}", type=p.type, choices=p.choices,
+                            help=p.help if p.default is None else f"{p.help} ({note})")
+        # --targets, --out and --config pick outputs and inputs; they are not parameters.
+        if name == "scenario":
+            sp.add_argument("--targets", action="store_true", help="append a target-check report")
+        sp.add_argument("--out", help="output directory (default ./out or $FLEETDYN_OUT)")
+        if command.config:
+            sp.add_argument("--config", help="key = value configuration file; flags override")
     return parser
 
 
@@ -341,8 +338,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        resolve(args, command)
+        return command.run(args)
     except (ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

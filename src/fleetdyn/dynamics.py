@@ -138,8 +138,9 @@ class FleetState:
 
     def __post_init__(self):
         for name in ("t", "x", "y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"FleetState.{name} must be finite")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"FleetState.{name} must be finite, got {value}")
 
     @property
     def total(self) -> float:

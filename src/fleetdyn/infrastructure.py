@@ -215,8 +215,8 @@ def deployment_plan(
         raise ValidationError(
             f"unknown scenario {scenario_id!r}; expected one of {', '.join(SCENARIO_BINDINGS)}"
         )
-    if uptake <= 0:
-        raise ValidationError("uptake must be positive")
+    if not (uptake > 0 and math.isfinite(uptake)):
+        raise ValidationError(f"uptake must be positive and finite, got {uptake}")
     if horizon_years <= 0:
         raise ValidationError("horizon must be positive")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fleetdyn import GrowthParams, growth_closed_form
-from fleetdyn.cli import main
+from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -66,9 +66,9 @@ def test_growth_non_finite_horizon_or_step_exits_2(tmp_path, capsys):
     base = ["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38", "--t0", "1960",
             "--out", str(tmp_path / "o")]
     assert run_cli(*base, "--t1", "inf") == 2
-    assert capsys.readouterr().err == "error: t_end must be finite, got inf\n"
+    assert capsys.readouterr().err == "error: --t1 must be finite, got inf\n"
     assert run_cli(*base, "--t1", "2020", "--dt", "inf") == 2
-    assert capsys.readouterr().err == "error: dt must be positive and finite, got inf\n"
+    assert capsys.readouterr().err == "error: --dt must be finite, got inf\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -91,6 +91,15 @@ def test_scenario_infinite_horizon_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "got inf" in capsys.readouterr().err
+
+
+def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
+    code = run_cli(
+        "growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
+        "--t0", "inf", "--t1", "2020", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --t0 must be finite, got inf\n"
 
 
 def test_growth_integrator_blowup_exits_1(tmp_path):
@@ -171,10 +180,100 @@ def test_scenario_missing_params_exits_2(tmp_path):
     assert run_cli("scenario", "--mu_h", "0.3", "--out", str(tmp_path)) == 2
 
 
+def test_scenario_name_excludes_frame_flags(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli("scenario", "--name", "moderate", "--t_end", "2040", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --t_end cannot be set with --name, a builtin scenario\n"
+    )
+    assert not out.exists()
+
+
+def test_scenario_name_excludes_frame_values_from_config(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("t_end = 2040\n")
+    out = tmp_path / "o"
+    assert run_cli("scenario", "--name", "moderate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 1: t_end cannot be set with --name, a builtin scenario\n"
+    )
+    assert not out.exists()
+
+
 def test_config_parse_error_exits_2(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("gamma_c 0.01\n")
     assert run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+
+def test_config_unknown_key_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("gama_c = 0.01\n")
+    assert run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 1: unknown key 'gama_c'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_bad_value_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# custom\ngamma_c = abc\n")
+    assert run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: line 2: gamma_c: ")
+
+
+def test_config_bad_choice_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("name = fast\n")
+    assert run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 1: name: 'fast' is not one of low, moderate, aggressive\n"
+    )
+
+
+def test_config_non_finite_value_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("mu_c = 0.5\nmu_h = nan\n")
+    assert run_cli("sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: mu_h must be finite, got nan\n"
+
+
+def test_resolve_precedence_flag_config_default(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("mu_h = 0.3\nmu_c = 0.4\n")
+    args = build_parser().parse_args(["sensitivity", "--config", str(cfg), "--mu_h", "0.2"])
+    resolve(args, COMMANDS["sensitivity"])
+    assert (args.mu_h, args.mu_c, args.a) == (0.2, 0.4, 0.01)
+    assert args.given == {"mu_h": "--mu_h", "mu_c": f"{cfg}: line 2: mu_c"}
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMANDS))
+def test_table_declares_every_help_entry(cmd, capsys):
+    assert run_cli(cmd, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for p in COMMANDS[cmd].params:
+        assert f"--{p.name} " in text
+        if p.default is REQUIRED:
+            assert f"{p.help} (required)" in text
+        elif p.default is not None:
+            assert f"{p.help} (default {p.default})" in text
+
+
+@pytest.mark.parametrize(
+    "cmd,param",
+    [(cmd, p) for cmd, c in sorted(COMMANDS.items()) if c.config for p in c.params],
+    ids=lambda v: v if isinstance(v, str) else v.name,
+)
+def test_table_key_is_accepted_in_config(cmd, param, tmp_path):
+    text = param.choices[0] if param.choices else "7"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# one key\n{param.name} = {text}\n")
+    others = [a for q in COMMANDS[cmd].params if q.default is REQUIRED and q != param
+              for a in (f"--{q.name}", "1")]
+    args = build_parser().parse_args([cmd, "--config", str(cfg), *others])
+    resolve(args, COMMANDS[cmd])
+    assert getattr(args, param.name) == param.type(text)
+    assert args.given[param.name] == f"{cfg}: line 2: {param.name}"
 
 
 # -------------------------------------------------------------------- fit
@@ -274,6 +373,14 @@ def test_infra_uptake_scales(tmp_path):
     assert run_cli("infra", "--id", "S2", "--uptake", "0.70", "--out", str(out)) == 0
     _, rows = read_rows(out / "infra_S2.csv")
     assert abs(int(rows[0][2]) - 2 * 2625) <= 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_infra_non_finite_uptake_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    assert run_cli("infra", "--id", "S2", "--uptake", value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --uptake must be finite, got {value}\n"
+    assert not out.exists()
 
 
 def test_infra_invalid_id_exits_2(tmp_path):

@@ -67,6 +67,13 @@ def test_fleet_state_requires_finite_values():
         FleetState(0.0, 1.0, math.inf)
 
 
+def test_fleet_state_error_names_the_value():
+    with pytest.raises(ValidationError, match=r"^FleetState\.t must be finite, got inf$"):
+        FleetState(math.inf, 1.0, 0.0)
+    with pytest.raises(ValidationError, match=r"^FleetState\.y must be finite, got nan$"):
+        FleetState(2020.0, 1.0, math.nan)
+
+
 def test_fleet_state_nonnegative_guard():
     FleetState(2020.0, 28.95, 0.0).require_nonnegative()
     with pytest.raises(ValidationError):

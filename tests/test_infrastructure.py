@@ -1,5 +1,7 @@
 """Refuelling-station sizing, deployment plans and cost arithmetic."""
 
+import math
+
 import pytest
 
 from fleetdyn import (
@@ -135,6 +137,12 @@ def test_deployment_plan_bindings_and_validation():
         deployment_plan("S1", uptake=0.0)
     with pytest.raises(ValidationError):
         deployment_plan("S1", horizon_years=0)
+
+
+@pytest.mark.parametrize("uptake", [math.inf, -math.inf, math.nan])
+def test_deployment_plan_rejects_non_finite_uptake(uptake):
+    with pytest.raises(ValidationError, match=f"uptake must be positive and finite, got {uptake}"):
+        deployment_plan("S2", uptake=uptake)
 
 
 def test_deployment_cost_ordering():
