@@ -252,12 +252,12 @@ def _is_blank(row) -> bool:
 def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
-    A value that is not positive and finite, or a year that does not
-    follow the one before, is reported with its file and line.
+    Each row is checked as it is read: a value that is not positive and
+    finite, or a year that does not follow the one before, is reported
+    with its file and line.
     """
     years = []
     fleet = []
-    lines = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -277,28 +277,20 @@ def load_fleet_csv(path) -> FleetSeries:
                 value = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"{path}: line {lineno}: fleet value {value} must be positive and finite"
+                )
+            if years and year <= years[-1]:
+                raise ValidationError(
+                    f"{path}: line {lineno}: year {year} does not follow {years[-1]}; "
+                    "years must be strictly increasing"
+                )
             years.append(year)
             fleet.append(value)
-            lines.append(lineno)
     if not years:
         raise ParseError(f"{path}: no data rows")
-    try:
-        return FleetSeries(np.array(years), np.array(fleet))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {_first_bad_row(lines, years, fleet) or exc}") from exc
-
-
-def _first_bad_row(lines, years, fleet) -> str | None:
-    """Name the line of the first row FleetSeries rejects; `lines[i]` is row i's line."""
-    for i, (year, value) in enumerate(zip(years, fleet)):
-        if not (value > 0 and math.isfinite(value)):
-            return f"line {lines[i]}: fleet value {value} must be positive and finite"
-        if i and year <= years[i - 1]:
-            return (
-                f"line {lines[i]}: year {year} does not follow {years[i - 1]}; "
-                "years must be strictly increasing"
-            )
-    return None
+    return FleetSeries(np.array(years), np.array(fleet))
 
 
 def bundled_uk_fleet_series() -> FleetSeries:

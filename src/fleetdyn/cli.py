@@ -64,7 +64,10 @@ def load_config(path) -> dict[str, tuple[int, str]]:
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = (lineno, value.strip())
+            key = key.strip().replace("-", "_")
+            if key in cfg:
+                raise ParseError(f"{path}: line {lineno}: {key} already set on line {cfg[key][0]}")
+            cfg[key] = (lineno, value.strip())
     return cfg
 
 

@@ -78,10 +78,10 @@ class StationSpec:
     capex: float  # GBP per station
 
     def __post_init__(self):
-        if self.capacity_per_day <= 0:
-            raise ValidationError("capacity_per_day must be positive")
-        if self.capex <= 0:
-            raise ValidationError("capex must be positive")
+        for name in ("capacity_per_day", "capex"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValidationError(f"{name} must be positive and finite, got {v}")
 
     @property
     def capacity_per_year(self) -> float:
@@ -97,8 +97,8 @@ class VehicleSpec:
     tank: float  # kg
 
     def __post_init__(self):
-        if self.tank <= 0:
-            raise ValidationError("tank must be positive")
+        if not (self.tank > 0 and math.isfinite(self.tank)):
+            raise ValidationError(f"tank must be positive and finite, got {self.tank}")
 
     @property
     def annual_consumption(self) -> float:
@@ -171,8 +171,6 @@ def vehicles_per_station_exact(
     st: StationSpec, v: VehicleSpec, basis: str = "daily", utilization: float = 1.0
 ) -> float:
     """Unrounded vehicles one station can support."""
-    if v.tank <= 0:
-        raise ValidationError("vehicle tank must be positive")
     if not 0 < utilization <= 1:
         raise ValidationError(f"utilization must be in (0, 1], got {utilization}")
     if basis == "daily":

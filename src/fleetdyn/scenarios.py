@@ -9,13 +9,12 @@ to 2100 at a 0.1-year step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import FleetState, LvmParams, Trajectory, integrate, modified_system
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "ScenarioSpec",
@@ -29,7 +28,6 @@ __all__ = [
     "new_hydrogen_vehicles_per_year",
     "sample_yearly",
     "write_trajectory_csv",
-    "load_trajectory_csv",
 ]
 
 TRAJECTORY_CSV_HEADER = ("time", "conv", "hydro", "total")
@@ -187,27 +185,3 @@ def write_trajectory_csv(traj: Trajectory, path, yearly: bool = True) -> None:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\n")
         for t, x, y in zip(*(c.tolist() for c in columns)):
             fh.write(f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n")
-
-
-def load_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory CSV written by write_trajectory_csv."""
-    ts, xs, ys = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [c.strip().lower() for c in header] != list(TRAJECTORY_CSV_HEADER):
-            raise ParseError(f"{path}: line 1: expected header 'time,conv,hydro,total'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                ts.append(float(row[0]))
-                xs.append(float(row[1]))
-                ys.append(float(row[2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return Trajectory(np.array(ts), np.array(xs), np.array(ys))

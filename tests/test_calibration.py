@@ -113,7 +113,7 @@ def published_params_trajectory():
 def test_mean_error_zero_when_model_equals_data():
     years = np.arange(2000, 2011)
     values = np.linspace(10.0, 20.0, 11)
-    traj = Trajectory(years.astype(float), values, np.zeros(11))
+    traj = Trajectory(2000.0, 1.0, 2010.0, values, np.zeros(11))
     data = FleetSeries(years, values)
     m, s = mean_error(data, traj)
     assert m == 0.0 and s == 0.0
@@ -122,7 +122,7 @@ def test_mean_error_zero_when_model_equals_data():
 def test_mean_error_uniform_shift():
     years = np.arange(2000, 2011)
     values = np.linspace(10.0, 20.0, 11)
-    traj = Trajectory(years.astype(float), values * 1.01, np.zeros(11))
+    traj = Trajectory(2000.0, 1.0, 2010.0, values * 1.01, np.zeros(11))
     m, s = mean_error(FleetSeries(years, values), traj)
     assert m == pytest.approx(0.01, rel=1e-9)
     assert s == pytest.approx(0.0, abs=1e-12)
@@ -151,7 +151,7 @@ def test_mean_error_invariances():
     # reordering cannot happen inside FleetSeries (sorted years), but a
     # common rescaling of both sides must leave the metric unchanged
     scaled_data = FleetSeries(data.years, data.fleet * 3.0)
-    scaled_traj = Trajectory(traj.t, traj.x * 3.0, traj.y * 3.0)
+    scaled_traj = Trajectory(traj.t0, traj.dt, traj.t_end, traj.x * 3.0, traj.y * 3.0)
     m2, s2 = mean_error(scaled_data, scaled_traj)
     assert m2 == pytest.approx(m, rel=1e-12)
     assert s2 == pytest.approx(s, rel=1e-12)
@@ -471,6 +471,13 @@ def test_load_fleet_csv_names_line_of_non_increasing_year(tmp_path):
     assert str(exc.value) == (
         f"{path}: line 4: year 1976 does not follow 1976; years must be strictly increasing"
     )
+
+
+def test_load_fleet_csv_reports_first_defect_in_file_order(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("year,fleet_mveh\n1971,8.0\n1976,nan\n1981,9.0\n1986\n")
+    with pytest.raises(ValidationError, match=r"line 3: fleet value nan must"):
+        load_fleet_csv(path)
 
 
 def test_load_fleet_csv_line_numbers_count_blank_lines(tmp_path):

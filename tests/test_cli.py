@@ -215,6 +215,14 @@ def test_config_unknown_key_names_file_line_and_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_duplicate_key_names_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("mu_h = 0.65\nmu_h = 0.1\n")
+    assert run_cli("sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: mu_h already set on line 1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_bad_value_names_file_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# custom\ngamma_c = abc\n")

@@ -82,25 +82,36 @@ def test_fleet_state_nonnegative_guard():
 
 def test_trajectory_validation():
     t = np.array([0.0, 1.0, 2.0])
-    ok = Trajectory(t, t * 2, t * 0)
+    ok = Trajectory(0.0, 1.0, 2.0, t * 2, t * 0)
     assert len(ok) == 3 and ok.step == 1.0
-    with pytest.raises(ValidationError):
-        Trajectory(np.array([0.0, 1.0, 0.5]), t, t)
-    with pytest.raises(ValidationError):
-        Trajectory(np.array([0.0, 1.0, 3.0]), t, t)  # growing step
     # shortened final step is fine
-    tr = Trajectory(np.array([0.0, 1.0, 2.0, 2.5]), np.zeros(4), np.zeros(4))
+    tr = Trajectory(0.0, 1.0, 2.5, np.zeros(4), np.zeros(4))
     assert tr.final.t == 2.5
 
 
+def test_trajectory_rejects_samples_off_the_grid():
+    # 0 to 2.5 with step 1 has four grid times: 0, 1, 2, 2.5
+    for n in (3, 5):
+        with pytest.raises(ValidationError, match=r"^x and y must be 1-d arrays of 4 samples"):
+            Trajectory(0.0, 1.0, 2.5, np.zeros(n), np.zeros(n))
+    with pytest.raises(ValidationError):
+        Trajectory(0.0, 1.0, 2.5, np.zeros(4), np.zeros(3))
+    with pytest.raises(ValidationError):
+        Trajectory(0.0, 1.0, 2.5, np.zeros((4, 1)), np.zeros((4, 1)))
+    with pytest.raises(ValidationError, match=r"must exceed the initial time"):
+        Trajectory(2.0, 1.0, 2.0, np.zeros(2), np.zeros(2))
+
+
 def test_trajectory_arrays_are_readonly():
-    tr = Trajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2))
+    tr = Trajectory(0.0, 1.0, 1.0, np.array([1.0, 2.0]), np.zeros(2))
     with pytest.raises(ValueError):
         tr.x[0] = 5.0
+    with pytest.raises(ValueError):
+        tr.t[0] = 5.0
 
 
 def test_trajectory_sample_interpolates_and_checks_range():
-    tr = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]), np.zeros(3))
+    tr = Trajectory(0.0, 1.0, 2.0, np.array([0.0, 2.0, 4.0]), np.zeros(3))
     assert tr.sample(0.5) == (1.0, 0.0)
     with pytest.raises(ValidationError):
         tr.sample(2.5)
@@ -216,9 +227,48 @@ def test_integrate_shortens_final_partial_step():
     assert traj.final.x == pytest.approx(growth_closed_form(GROWTH, 0.38, 1.05), rel=1e-12)
 
 
+@pytest.mark.parametrize("t0, dt, t_end, n", [
+    (2020.0, 0.1, 2100.0, 801),
+    (1960.0, 0.1, 2020.0, 601),
+    (-3.7, 0.25, 11.3, 61),
+    (1960.4, 0.3, 2030.7, 236),  # shortened final step of 0.1
+    (0.0, 0.1, 1.05, 12),  # shortened final step of 0.05
+    (2000.0, 0.7, 2000.3, 2),  # one step, shorter than dt
+    # 528.0000000000018 steps: the remainder is below the resolution of
+    # the times, so the span is whole and the grid stays increasing
+    (2038.0, 0.1, 2090.8, 529),
+    (1978.79, 0.05, 2057.19, 1569),
+])
+def test_integrate_grid_matches_the_loop_built_grid(t0, dt, t_end, n):
+    traj = integrate(lambda x, y: (0.0, 0.0), FleetState(t0, 1.0, 0.0), t_end, dt)
+    grid = [t0] + [t0 + i * dt for i in range(1, n)]
+    grid[-1] = t_end
+    assert traj.t.tolist() == grid
+    assert np.all(np.diff(traj.t) > 0)
+
+
 def test_integrate_rejects_blowup():
     with pytest.raises(IntegrationError):
         integrate(lambda x, y: (1e308, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
+
+
+def test_integrate_blowup_names_the_time_the_step_reaches():
+    def rhs_failing_at(step):
+        calls = []
+
+        def rhs(x, y):
+            calls.append((x, y))
+            return (math.inf, 0.0) if len(calls) > 4 * (step - 1) else (0.0, 0.0)
+
+        return rhs
+
+    s = FleetState(0.0, 1.0, 0.0)
+    # the previous grid time plus dt: 0.5 + 0.1 is 0.6, where 6 * 0.1 is not
+    with pytest.raises(IntegrationError, match=r"near t=0\.6$"):
+        integrate(rhs_failing_at(6), s, 1.0, 0.1)
+    # the shortened final step reaches t_end
+    with pytest.raises(IntegrationError, match=r"near t=1\.05$"):
+        integrate(rhs_failing_at(11), s, 1.05, 0.1)
 
 
 def test_integrate_checks_every_stage_state():
@@ -261,6 +311,14 @@ def test_integrate_refuses_more_steps_than_the_cap():
     with pytest.raises(ValidationError, match=r"needs inf steps"):
         integrate(rhs, s, 2100.0, 5e-324)
     assert calls == []
+
+
+def test_integrate_refuses_a_step_at_the_time_resolution():
+    # near 2020 the float spacing is 2.3e-13: 2020 + i * 1e-14 repeats times
+    with pytest.raises(ValidationError, match=r"^dt = 1e-14 is below the time resolution"):
+        integrate(lambda x, y: (0.0, 0.0), FleetState(2020.0, 1.0, 0.0), 2020.000000001, 1e-14)
+    with pytest.raises(ValidationError, match=r"time resolution"):
+        Trajectory(2020.0, 1e-14, 2020.00000000001, np.zeros(1001), np.zeros(1001))
 
 
 def test_integrate_step_cap_is_inclusive(monkeypatch):

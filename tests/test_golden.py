@@ -38,6 +38,8 @@ COMMANDS = {
                     "--t0", "1960", "--t1", "2020"],
     "growth_2100": ["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
                     "--t0", "1960", "--t1", "2100"],
+    "growth_odd": ["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
+                   "--t0", "1960.4", "--t1", "2030.7", "--dt", "0.3"],
     "scenario_moderate": ["scenario", "--name", "moderate", "--targets"],
     "scenario_custom": ["scenario", "--config", "<cfg>", "--targets"],
     "fit": ["fit", "--data", UK_CSV],
@@ -86,6 +88,10 @@ GOLDEN = {
     "growth_2100": {
         "<stdout>": "69ebbcfaa57d08bad9500175d2571e67d680e4042d4795b94600d4e869bb51ab",
         "growth.csv": "763f0210970069823b491a96d9f30cef0060989fd5191785accb4e9a2bf84329",
+    },
+    "growth_odd": {
+        "<stdout>": "85023d32ec98bb1d924c2d6c67c7c21712f37dfd1cde54425b8db5d40a2d583c",
+        "growth.csv": "3f8ce73308a64a8430c77436233326683f22a5cedb9625866b37d037b45fa2e0",
     },
     "infra_s2": {
         "<stdout>": "41de78595527039e7b15ec5e31bed5fd71033dd2ed8767109e48f134b6c2b224",

@@ -33,17 +33,19 @@ def test_station_specs_satisfy_yearly_invariant():
     assert SMALL_STATION.capacity_per_year == 365 * SMALL_STATION.capacity_per_day == 73000
     assert LARGE_STATION.capacity_per_year == 365 * LARGE_STATION.capacity_per_day == 365000
     assert SMALL_STATION.capex == 1e6 and LARGE_STATION.capex == 5e6
-    with pytest.raises(ValidationError):
-        StationSpec(StationKind.SMALL, 200.0, 0.0)
-    with pytest.raises(ValidationError):
-        StationSpec(StationKind.SMALL, 0.0, 1e6)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            StationSpec(StationKind.SMALL, 200.0, bad)
+        with pytest.raises(ValidationError):
+            StationSpec(StationKind.SMALL, bad, 1e6)
 
 
 def test_vehicle_specs_weekly_refuelling_invariant():
     assert HFC_VEHICLE.annual_consumption == 52 * HFC_VEHICLE.tank == 260
     assert HFCRE_VEHICLE.annual_consumption == 52 * HFCRE_VEHICLE.tank == 78
-    with pytest.raises(ValidationError):
-        VehicleSpec(VehicleKind.HFC, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            VehicleSpec(VehicleKind.HFC, bad)
 
 
 # ------------------------------------------------------- vehicles per station

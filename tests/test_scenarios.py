@@ -7,7 +7,6 @@ from fleetdyn import (
     FleetState,
     GrowthParams,
     LvmParams,
-    ParseError,
     ScenarioSpec,
     TargetCheck,
     ValidationError,
@@ -21,7 +20,6 @@ from fleetdyn import (
 from fleetdyn.scenarios import (
     BUILTIN_SCENARIO_NAMES,
     builtin_targets,
-    load_trajectory_csv,
     sample_yearly,
     write_trajectory_csv,
 )
@@ -98,7 +96,7 @@ def test_zev_share_errors(trajectories):
 
     with pytest.raises(ValidationError):
         zev_share(trajectories["low"], 2150.0)
-    empty = Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+    empty = Trajectory(0.0, 1.0, 1.0, np.zeros(2), np.zeros(2))
     with pytest.raises(ValidationError):
         zev_share(empty, 0.5)
 
@@ -187,7 +185,7 @@ def test_new_hydrogen_vehicles_early_moderate(trajectories):
 def test_new_hydrogen_vehicles_zero_on_constant_y():
     from fleetdyn import Trajectory
 
-    traj = Trajectory(np.arange(5, dtype=float), np.linspace(1, 2, 5), np.full(5, 3.0))
+    traj = Trajectory(0.0, 1.0, 4.0, np.linspace(1, 2, 5), np.full(5, 3.0))
     assert new_hydrogen_vehicles_per_year(traj, 2.0) == 0.0
 
 
@@ -213,11 +211,11 @@ def test_trajectory_csv_round_trip(tmp_path, trajectories):
     lines = path.read_text().splitlines()
     assert lines[0] == "time,conv,hydro,total"
     assert len(lines) == 82  # header + 2020..2100
-    loaded = load_trajectory_csv(path)
+    row = lines[1 + 2050 - 2020].split(",")
     x2050, y2050 = trajectories["moderate"].sample(2050.0)
-    lx, ly = loaded.sample(2050.0)
-    assert lx == pytest.approx(x2050, abs=5e-7)
-    assert ly == pytest.approx(y2050, abs=5e-7)
+    assert float(row[0]) == 2050.0
+    assert float(row[1]) == pytest.approx(x2050, abs=5e-7)
+    assert float(row[2]) == pytest.approx(y2050, abs=5e-7)
     # fixed 6-decimal formatting
     assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
 
@@ -237,13 +235,3 @@ def test_trajectory_csv_full_resolution(tmp_path, trajectories):
     write_trajectory_csv(trajectories["low"], path, yearly=False)
     assert len(path.read_text().splitlines()) == len(trajectories["low"]) + 1
 
-
-def test_load_trajectory_csv_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time,conv\n0,1\n")
-    with pytest.raises(ParseError):
-        load_trajectory_csv(bad)
-    short = tmp_path / "short.csv"
-    short.write_text("time,conv,hydro,total\n0,1,2\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_trajectory_csv(short)
