@@ -3,9 +3,12 @@ sensitivities of the competition model.
 
 Setting both rates of change to zero reduces the fixed point to a quadratic
 in each fleet; ``discriminant`` is the quadratic discriminant shared by the
-two closed forms. Its sign separates a monotone approach to equilibrium
-from an oscillatory regime. The twelve analytic gradients of the
-asymptotes are paired with an independent central-difference verifier.
+two closed forms, and a fixed point exists exactly where it is positive.
+Everything else is read off the Jacobian of the rates at that point: its
+trace and determinant separate a node (monotone approach) from a focus
+(damped oscillation), and the implicit function theorem gives the twelve
+analytic gradients of the asymptotes, which are paired with an independent
+central-difference verifier.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "PARAM_NAMES",
     "discriminant",
     "classify_stability",
-    "stability_from_discriminant",
     "asymptotic_state",
     "sensitivity_hydrogen",
     "sensitivity_conventional",
@@ -37,8 +39,10 @@ PARAM_NAMES = ("mu_h", "mu_c", "epsilon", "a", "gamma_h", "gamma_c")
 
 
 class StabilityClass(Enum):
-    MONOTONE_EQUILIBRIUM = "monotone-equilibrium"
-    OSCILLATORY = "oscillatory"
+    """How trajectories approach the (always stable) fixed point."""
+
+    MONOTONE_EQUILIBRIUM = "monotone-equilibrium"  # node: real eigenvalues
+    DAMPED_OSCILLATION = "damped-oscillation"  # focus: complex eigenvalues
 
 
 @dataclass(frozen=True)
@@ -72,50 +76,23 @@ class SensitivityVector:
         return getattr(self, "d_" + param)
 
 
-def _delta_terms(p: LvmParams) -> tuple[float, ...]:
-    return (
+def discriminant(p: LvmParams) -> float:
+    """Discriminant of the fixed-point quadratic; a fixed point exists iff it is positive.
+
+    delta = a^2 mu_h^2 + 2 a eps mu_c mu_h + 2 a gamma_c gamma_h mu_h
+            + eps^2 mu_c^2 + gamma_c^2 gamma_h^2 - 2 eps gamma_c gamma_h mu_c
+
+    For valid parameters it equals (eps mu_c - gamma_c gamma_h)^2 plus mu_h
+    times non-negative terms, so it is zero only on a boundary of the domain.
+    """
+    return math.fsum((
         p.a**2 * p.mu_h**2,
         2.0 * p.a * p.epsilon * p.mu_c * p.mu_h,
         2.0 * p.a * p.gamma_c * p.gamma_h * p.mu_h,
         p.epsilon**2 * p.mu_c**2,
         p.gamma_c**2 * p.gamma_h**2,
         -2.0 * p.epsilon * p.gamma_c * p.gamma_h * p.mu_c,
-    )
-
-
-def discriminant(p: LvmParams) -> float:
-    """Discriminant of the fixed-point quadratic.
-
-    delta = a^2 mu_h^2 + 2 a eps mu_c mu_h + 2 a gamma_c gamma_h mu_h
-            + eps^2 mu_c^2 + gamma_c^2 gamma_h^2 - 2 eps gamma_c gamma_h mu_c
-    """
-    return math.fsum(_delta_terms(p))
-
-
-def stability_from_discriminant(delta: float, scale: float) -> StabilityClass:
-    """Classify by the sign of delta; |delta| <= 1e-12*scale is degenerate.
-
-    scale should be the magnitude of the largest discriminant term, so the
-    degeneracy test is relative to the size of the cancelled quantities.
-    """
-    if abs(delta) <= 1e-12 * scale:
-        raise DegenerateCaseError(
-            f"discriminant {delta} is zero within tolerance; "
-            "equilibrium and gradients are singular there"
-        )
-    return StabilityClass.MONOTONE_EQUILIBRIUM if delta > 0 else StabilityClass.OSCILLATORY
-
-
-def classify_stability(p: LvmParams) -> StabilityClass:
-    """Monotone equilibrium for delta > 0, oscillatory for delta < 0.
-
-    Note that for valid parameters (positive rates, non-negative sources)
-    delta = (eps*mu_c - gamma_c*gamma_h)^2 + mu_h*(a^2 mu_h + 2 a eps mu_c
-    + 2 a gamma_c gamma_h) is a sum of non-negative terms, so the
-    oscillatory class is only reachable outside that domain.
-    """
-    scale = max(abs(t) for t in _delta_terms(p))
-    return stability_from_discriminant(discriminant(p), scale)
+    ))
 
 
 def asymptotic_state(p: LvmParams) -> Equilibrium:
@@ -139,7 +116,7 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     delta = discriminant(p)
     if delta <= 0:
         raise NoFixedPointError(
-            f"discriminant {delta} <= 0: no monotone equilibrium (oscillatory regime)"
+            f"discriminant {delta} <= 0: the competition model has no fixed point"
         )
     sq = math.sqrt(delta)
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
@@ -152,55 +129,60 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=delta)
 
 
-def _sqrt_delta(p: LvmParams) -> float:
-    delta = discriminant(p)
-    if delta <= 0:
-        raise NoFixedPointError(
-            f"discriminant {delta} <= 0: gradients undefined without a fixed point"
-        )
-    return math.sqrt(delta)
+def _linearise(p: LvmParams):
+    """The fixed point, the Jacobian J of the rates there, and det J.
+
+    J = [[-gamma_c - a y*, -a x*], [eps y*, eps x* - gamma_h]]. Where y* > 0
+    the fixed-point condition turns J22 into -mu_h / y*, free of the
+    cancellation in eps x* - gamma_h, so det = J11 J22 + a eps x* y* is a
+    sum of positive terms. Raises NoFixedPointError where delta <= 0.
+    """
+    eq = asymptotic_state(p)
+    x, y = eq.x_inf, eq.y_inf
+    j11 = -p.gamma_c - p.a * y
+    j12 = -p.a * x
+    j21 = p.epsilon * y
+    j22 = -p.mu_h / y if y > 0 else p.epsilon * x - p.gamma_h
+    return eq, (j11, j12), (j21, j22), j11 * j22 - j12 * j21
+
+
+def classify_stability(p: LvmParams) -> StabilityClass:
+    """Node or focus, from the trace and determinant of the Jacobian.
+
+    The trace is negative and the determinant positive, so the fixed point
+    is always stable: a node (monotone approach) when tr^2 >= 4 det, a
+    focus (damped oscillation) otherwise. Raises NoFixedPointError where
+    delta <= 0.
+    """
+    _, (j11, _), (_, j22), det = _linearise(p)
+    trace = j11 + j22
+    if trace * trace >= 4.0 * det:
+        return StabilityClass.MONOTONE_EQUILIBRIUM
+    return StabilityClass.DAMPED_OSCILLATION
+
+
+def _gradient(eq: Equilibrium, r1: float, r2: float) -> SensitivityVector:
+    """One asymptote's gradient from its row (r1, r2) of -J^-1.
+
+    By the implicit function theorem d(x*, y*)/dp = -J^-1 dF/dp, and for
+    every parameter dF/dp has a single nonzero entry: mu_h (0, 1), mu_c
+    (1, 0), epsilon (0, x* y*), a (-x* y*, 0), gamma_h (0, -y*), gamma_c
+    (-x*, 0). Each component is then one product, with no subtraction.
+    """
+    x, y = eq.x_inf, eq.y_inf
+    return SensitivityVector(r2, r1, r2 * x * y, -r1 * x * y, -r2 * y, -r1 * x)
 
 
 def sensitivity_hydrogen(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the hydrogen asymptote y_inf."""
-    sq = _sqrt_delta(p)
-    a, eps, gc, gh, mc, mh = p.a, p.epsilon, p.gamma_c, p.gamma_h, p.mu_c, p.mu_h
-    gg = gc * gh
-    return SensitivityVector(
-        d_mu_h=(a * mh + eps * mc + gg + sq) / (2.0 * gh * sq),
-        d_mu_c=eps * (a * mh + eps * mc - gg + sq) / (2.0 * a * gh * sq),
-        d_epsilon=mc * (a * mh + eps * mc - gg + sq) / (2.0 * a * gh * sq),
-        d_a=-(
-            a * eps * mc * mh + a * gg * mh + eps**2 * mc**2 - 2.0 * eps * gg * mc
-            + gg**2 + (eps * mc - gg) * sq
-        ) / (2.0 * a**2 * gh * sq),
-        d_gamma_h=-(
-            a**2 * mh**2 + 2.0 * a * eps * mc * mh + a * gg * mh
-            + eps**2 * mc**2 - eps * gg * mc + (a * mh + eps * mc) * sq
-        ) / (2.0 * a * gh**2 * sq),
-        d_gamma_c=(a * mh - eps * mc + gg - sq) / (2.0 * a * sq),
-    )
+    eq, (j11, _), (j21, _), det = _linearise(p)
+    return _gradient(eq, j21 / det, -j11 / det)
 
 
 def sensitivity_conventional(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the conventional asymptote x_inf."""
-    sq = _sqrt_delta(p)
-    a, eps, gc, gh, mc, mh = p.a, p.epsilon, p.gamma_c, p.gamma_h, p.mu_c, p.mu_h
-    gg = gc * gh
-    return SensitivityVector(
-        d_mu_h=a * (-a * mh - eps * mc - gg + sq) / (2.0 * eps * gc * sq),
-        d_mu_c=(-a * mh - eps * mc + gg + sq) / (2.0 * gc * sq),
-        d_epsilon=(
-            a**2 * mh**2 + a * eps * mc * mh + 2.0 * a * gg * mh
-            - eps * gg * mc + gg**2 - (a * mh + gg) * sq
-        ) / (2.0 * eps**2 * gc * sq),
-        d_a=mh * (-a * mh - eps * mc - gg + sq) / (2.0 * eps * gc * sq),
-        d_gamma_h=(-a * mh + eps * mc - gg + sq) / (2.0 * eps * sq),
-        d_gamma_c=(
-            a**2 * mh**2 + 2.0 * a * eps * mc * mh + a * gg * mh
-            + eps**2 * mc**2 - eps * gg * mc - (a * mh + eps * mc) * sq
-        ) / (2.0 * eps * gc**2 * sq),
-    )
+    eq, (_, j12), (_, j22), det = _linearise(p)
+    return _gradient(eq, -j22 / det, j12 / det)
 
 
 def finite_difference_sensitivity(
@@ -225,7 +207,7 @@ def finite_difference_sensitivity(
             minus = asymptotic_state(LvmParams(**{**base, name: base[name] - h}))
         except (NoFixedPointError, ValidationError) as exc:
             raise OracleError(
-                f"perturbing {name} by {h} leaves the valid monotone regime: {exc}"
+                f"perturbing {name} by {h} leaves the region with a fixed point: {exc}"
             ) from exc
         grads_h["d_" + name] = (plus.y_inf - minus.y_inf) / (2.0 * h)
         grads_c["d_" + name] = (plus.x_inf - minus.x_inf) / (2.0 * h)

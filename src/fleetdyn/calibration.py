@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
+# FleetSeries holds its years as int64.
+_YEAR_RANGE = np.iinfo(np.int64)
 
 _MAX_ITER = 200
 _REL_TOL = 1e-10
@@ -252,9 +254,9 @@ def _is_blank(row) -> bool:
 def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
-    Each row is checked as it is read: a value that is not positive and
-    finite, or a year that does not follow the one before, is reported
-    with its file and line.
+    Each row is checked as it is read: a year that does not fit a 64-bit
+    integer, a value that is not positive and finite, or a year that does
+    not follow the one before, is reported with its file and line.
     """
     years = []
     fleet = []
@@ -277,6 +279,10 @@ def load_fleet_csv(path) -> FleetSeries:
                 value = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if not _YEAR_RANGE.min <= year <= _YEAR_RANGE.max:
+                raise ValidationError(
+                    f"{path}: line {lineno}: year {year} does not fit a 64-bit integer"
+                )
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(
                     f"{path}: line {lineno}: fleet value {value} must be positive and finite"

@@ -23,11 +23,11 @@ class IntegrationError(ModelError):
 
 
 class DegenerateCaseError(ModelError):
-    """Computation requested at a degenerate parameter point (e.g. zero discriminant)."""
+    """Computation requested at a degenerate parameter point (e.g. a zero coupling or rate)."""
 
 
 class NoFixedPointError(ModelError):
-    """No monotone equilibrium exists (discriminant not positive)."""
+    """The competition model has no fixed point (discriminant not positive)."""
 
 
 class OracleError(ModelError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import FleetState, LvmParams, Trajectory, integrate, modified_system
+from .dynamics import FleetState, LvmParams, Trajectory, _grid, integrate, modified_system
 from .errors import ValidationError
 
 __all__ = [
@@ -53,7 +53,10 @@ BUILTIN_SCENARIO_NAMES = tuple(_BUILTIN)
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A named parameter set with initial state, horizon and step."""
+    """A named parameter set with initial state, horizon and step.
+
+    The frame is checked at construction by the grid rule `integrate` uses.
+    """
 
     name: str
     params: LvmParams
@@ -63,12 +66,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.initial.require_nonnegative()
-        if not self.t_end > self.initial.t:
-            raise ValidationError(
-                f"t_end ({self.t_end}) must exceed the start year ({self.initial.t})"
-            )
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        _grid(self.initial.t, self.dt, self.t_end)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 sensitivity gradients against the finite-difference oracle."""
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_lvm_params
 from fleetdyn import (
@@ -23,12 +26,15 @@ from fleetdyn import (
     integrate,
     modified_system,
     pseudo_log,
+    rhs_modified,
     sensitivity_conventional,
     sensitivity_hydrogen,
 )
-from fleetdyn.analytics import PARAM_NAMES, stability_from_discriminant
+from fleetdyn.analytics import PARAM_NAMES
 
 MODERATE = LvmParams(gamma_c=0.01, gamma_h=0.01, a=0.005, epsilon=0.005, mu_c=0.65, mu_h=0.35)
+# A focus: the Jacobian at the fixed point has eigenvalues -0.0147 +- 0.0102i.
+FOCUS = LvmParams(gamma_c=0.0079, gamma_h=0.0185, a=0.0012, epsilon=0.0024, mu_c=0.103, mu_h=0.087)
 
 
 def hand_discriminant(p):
@@ -92,22 +98,62 @@ def test_classify_stability_monotone_for_scenarios(tab_grad_params):
         assert classify_stability(p) is StabilityClass.MONOTONE_EQUILIBRIUM
 
 
-def test_classification_branches_from_discriminant():
-    assert stability_from_discriminant(1.0, 1.0) is StabilityClass.MONOTONE_EQUILIBRIUM
-    assert stability_from_discriminant(-1.0, 1.0) is StabilityClass.OSCILLATORY
-    with pytest.raises(DegenerateCaseError):
-        stability_from_discriminant(0.0, 1.0)
-    with pytest.raises(DegenerateCaseError):
-        stability_from_discriminant(1e-14, 1.0)
-
-
 def test_degenerate_discriminant_raises():
     # eps*mu_c == gamma_c*gamma_h with mu_h = 0 sits exactly on delta = 0;
     # dyadic values keep the float evaluation exactly zero too.
     p = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=0.5, mu_h=0.0)
     assert discriminant(p) == 0.0
-    with pytest.raises(DegenerateCaseError):
+    with pytest.raises(NoFixedPointError):
         classify_stability(p)
+
+
+def fd_jacobian(p):
+    """Central-difference Jacobian of rhs_modified at the fixed point.
+
+    The rates are quadratic, so central differences are exact up to rounding
+    for any step; a step of 1e-3 of each coordinate keeps rounding small.
+    """
+    eq = asymptotic_state(p)
+    z = np.array([eq.x_inf, eq.y_inf])
+    jac = np.empty((2, 2))
+    for j in range(2):
+        h = 1e-3 * max(z[j], 1e-6)
+        step = np.eye(2)[j] * h
+        jac[:, j] = (np.array(rhs_modified(*(z + step), p))
+                     - np.array(rhs_modified(*(z - step), p))) / (2 * h)
+    return jac
+
+
+rate = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)
+source = st.floats(0.01, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.builds(LvmParams, rate, rate, rate, rate, source, source))
+def test_focus_exactly_when_eigenvalues_are_complex(p):
+    jac = fd_jacobian(p)
+    trace, det = np.trace(jac), np.linalg.det(jac)
+    assume(abs(trace**2 - 4 * det) > 1e-6 * trace**2)
+    complex_pair = bool(np.any(np.linalg.eigvals(jac).imag != 0))
+    focus = classify_stability(p) is StabilityClass.DAMPED_OSCILLATION
+    assert focus == complex_pair
+
+
+def sign_changes_of_x_deviation(p):
+    """How often x - x* changes sign over 1500 years from the 2020 UK state."""
+    traj = integrate(modified_system(p), FleetState(0.0, 28.95, 0.0), 1500.0, 0.5)
+    signs = np.sign(traj.x - asymptotic_state(p).x_inf)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def test_focus_spirals_and_node_does_not():
+    # The focus has a period of about 616 years; over 1500 years its
+    # deviation stays far above rounding.
+    assert classify_stability(FOCUS) is StabilityClass.DAMPED_OSCILLATION
+    assert sign_changes_of_x_deviation(FOCUS) >= 2
+    assert classify_stability(MODERATE) is StabilityClass.MONOTONE_EQUILIBRIUM
+    assert sign_changes_of_x_deviation(MODERATE) <= 1
 
 
 # -------------------------------------------------------------- equilibrium
@@ -205,6 +251,52 @@ def test_gradients_match_finite_differences(tab_grad_params):
     for name in PARAM_NAMES:
         for an, fd in ((an_h, fd_h), (an_c, fd_c)):
             assert abs(an[name] - fd[name]) / max(abs(an[name]), abs(fd[name])) < 1e-6
+
+
+def decimal_asymptotes(q):
+    """(x_inf, y_inf) from the closed forms in the current decimal context."""
+    a, eps, gc, gh, mc, mh = (q[k] for k in ("a", "epsilon", "gamma_c", "gamma_h", "mu_c", "mu_h"))
+    gg = gc * gh
+    coupling = a * mh + eps * mc
+    sq = ((eps * mc - gg) ** 2 + mh * (a * a * mh + 2 * a * eps * mc + 2 * a * gg)).sqrt()
+    x_inf = 2 * gh * mc / (coupling + gg + sq)
+    if coupling >= gg:
+        y_inf = (coupling - gg + sq) / (2 * a * gh)
+    else:
+        y_inf = 2 * gc * mh / (sq + gg - coupling)
+    return x_inf, y_inf
+
+
+def decimal_gradients(p):
+    """50-digit central differences of the closed forms: (hydrogen, conventional)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        base = {name: Decimal(getattr(p, name)) for name in PARAM_NAMES}
+        grad_h, grad_c = {}, {}
+        for name in PARAM_NAMES:
+            h = base[name] * Decimal("1e-20")
+            x_plus, y_plus = decimal_asymptotes({**base, name: base[name] + h})
+            x_minus, y_minus = decimal_asymptotes({**base, name: base[name] - h})
+            grad_h[name] = float((y_plus - y_minus) / (2 * h))
+            grad_c[name] = float((x_plus - x_minus) / (2 * h))
+    return grad_h, grad_c
+
+
+def wide_lvm_params(rng):
+    """Rates log-uniform on [1e-4, 10], sources on [0.01, 1]."""
+    return LvmParams(*(10.0 ** rng.uniform(-4, 1, size=4)), *rng.uniform(0.01, 1.0, size=2))
+
+
+@pytest.mark.parametrize("draw, seed", [(random_lvm_params, 7), (wide_lvm_params, 3)])
+def test_gradients_match_decimal_reference(draw, seed):
+    # Every component, however small beside the others, to 1e-12 relative.
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        p = draw(rng)
+        ref_h, ref_c = decimal_gradients(p)
+        for grad, ref in ((sensitivity_hydrogen(p), ref_h), (sensitivity_conventional(p), ref_c)):
+            for name in PARAM_NAMES:
+                assert grad[name] == pytest.approx(ref[name], rel=1e-12, abs=0), (p, name)
 
 
 def test_gradient_signs_published_pattern(tab_grad_params):

@@ -93,6 +93,18 @@ def test_scenario_infinite_horizon_exits_2(tmp_path, capsys):
     assert "got inf" in capsys.readouterr().err
 
 
+def test_scenario_horizon_before_start_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "scenario", "--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005",
+        "--epsilon", "0.005", "--mu_c", "0.65", "--mu_h", "0.35", "--t_end", "2010",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: t_end (2010.0) must exceed the initial time (2020.0)\n"
+    )
+
+
 def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
     code = run_cli(
         "growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
@@ -322,6 +334,16 @@ def test_fit_bad_value_names_file_and_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("year", ["99999999999999999999", "-99999999999999999999"])
+def test_fit_year_beyond_int64_names_file_and_line(tmp_path, capsys, year):
+    csv = tmp_path / "big.csv"
+    csv.write_text(f"year,fleet_mveh\n1971,8.0\n1976,9.0\n{year},10.0\n")
+    assert run_cli("fit", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 4: year {year} does not fit a 64-bit integer\n"
+    )
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert run_cli("fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
@@ -341,6 +363,18 @@ def test_sensitivity_defaults(tmp_path, capsys):
     assert grads["mu_h"][0] > 0 and grads["mu_c"][0] > 0
     assert grads["mu_h"][1] < 0
     assert float(rows[0][3]) == pytest.approx(math.log10(1 + grads["mu_h"][0]), rel=1e-5)
+
+
+def test_sensitivity_small_component_digits(tmp_path):
+    # The conventional gamma_c component is eight orders below the largest
+    # one; every printed digit must still be right (50-digit reference).
+    out = tmp_path / "o"
+    assert run_cli(
+        "sensitivity", "--gamma_c", "0.003629", "--gamma_h", "0.001063", "--a", "0.2547",
+        "--epsilon", "0.001656", "--mu_c", "0.04024", "--mu_h", "0.9216", "--out", str(out),
+    ) == 0
+    _, rows = read_rows(out / "gradients.csv")
+    assert rows[-1] == ["gamma_c", "-1.114244e-03", "-8.245132e-07", "-0.000484", "-0.000000"]
 
 
 def test_sensitivity_zero_sources_valid(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Built-in policy scenarios, share metrics and target comparisons."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ def test_scenario_spec_validation():
         ScenarioSpec("bad", params, FleetState(2020.0, 1.0, 0.0), 2010.0, 0.1)
     with pytest.raises(ValidationError):
         ScenarioSpec("bad", params, FleetState(2020.0, 1.0, 0.0), 2100.0, 0.0)
+
+
+@pytest.mark.parametrize("t_end, dt, match", [
+    (2100.0, math.inf, "dt must be positive and finite"),
+    (math.inf, 0.1, "t_end must be finite"),
+    (2100.0, 1e-5, "at most 1000000 are allowed"),
+    (2020.0, 0.1, r"must exceed the initial time \(2020.0\)"),
+])
+def test_scenario_spec_uses_the_grid_rule(t_end, dt, match):
+    params = LvmParams(0.01, 0.01, 0.005, 0.005, 0.65, 0.35)
+    with pytest.raises(ValidationError, match=match):
+        ScenarioSpec("bad", params, FleetState(2020.0, 1.0, 0.0), t_end, dt)
 
 
 # ------------------------------------------------------------------ runs
