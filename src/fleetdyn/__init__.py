@@ -28,6 +28,7 @@ from .calibration import (
 )
 from .dynamics import (
     ClassicalLvmParams,
+    Field,
     FleetState,
     GrowthParams,
     LvmParams,

@@ -35,6 +35,8 @@ __all__ = [
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
 # FleetSeries holds its years as int64.
 _YEAR_RANGE = np.iinfo(np.int64)
+# fit_growth takes the years elapsed since the first as floats: exact up to here.
+_MAX_ELAPSED = 2**53
 
 _MAX_ITER = 200
 _REL_TOL = 1e-10
@@ -255,8 +257,9 @@ def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
     Each row is checked as it is read: a year that does not fit a 64-bit
-    integer, a value that is not positive and finite, or a year that does
-    not follow the one before, is reported with its file and line.
+    integer, a value that is not positive and finite, a year that does not
+    follow the one before, or one more than 2**53 years after the first, is
+    reported with its file and line.
     """
     years = []
     fleet = []
@@ -291,6 +294,11 @@ def load_fleet_csv(path) -> FleetSeries:
                 raise ValidationError(
                     f"{path}: line {lineno}: year {year} does not follow {years[-1]}; "
                     "years must be strictly increasing"
+                )
+            if years and year - years[0] > _MAX_ELAPSED:
+                raise ValidationError(
+                    f"{path}: line {lineno}: year {year} is more than 2**53 years after "
+                    f"the first year {years[0]}; elapsed years must be exact as floats"
                 )
             years.append(year)
             fleet.append(value)

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import analytics, calibration, infrastructure, scenarios
 from .dynamics import (
+    RK4_REAL_BOUND,
     FleetState,
     GrowthParams,
     LvmParams,
@@ -124,6 +125,15 @@ _TARGET_HEADER = "year,metric,expected,tolerance,observed,pass\n"
 def cmd_growth(args) -> int:
     params = GrowthParams(gamma=args.gamma, mu=args.mu)
     initial = FleetState(args.t0, args.n0, 0.0).require_nonnegative()
+    if args.dt * params.gamma > RK4_REAL_BOUND:
+        largest = math.nextafter(RK4_REAL_BOUND / params.gamma, math.inf)
+        while largest * params.gamma > RK4_REAL_BOUND:
+            largest = math.nextafter(largest, 0.0)
+        raise ValidationError(
+            f"{args.given.get('dt', '--dt')} {args.dt} gives dt*gamma = "
+            f"{args.dt * params.gamma:.6g}, above {RK4_REAL_BOUND}, the RK4 stability "
+            f"bound; the largest --dt that passes is {largest!r}"
+        )
     traj = integrate(growth_system(params), initial, args.t1, args.dt)
 
     years, fleet, _ = scenarios.sample_yearly(traj)

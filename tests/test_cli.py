@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetdyn import GrowthParams, growth_closed_form
+from fleetdyn import GrowthParams, ValidationError, growth_closed_form, load_fleet_csv
 from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -115,12 +115,34 @@ def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
 
 
 def test_growth_integrator_blowup_exits_1(tmp_path):
-    # gamma*dt far outside the RK4 stability region overflows the state
+    # a stable step, but the fleet heads for mu/gamma = 1e310, past the floats
     code = run_cli(
-        "growth", "--gamma", "1e8", "--mu", "0.65", "--n0", "0.38",
+        "growth", "--gamma", "0.01", "--mu", "1e308", "--n0", "0.38",
         "--t0", "1960", "--t1", "2020", "--out", str(tmp_path / "o"),
     )
     assert code == 1
+
+
+def test_growth_step_above_rk4_bound_exits_2(tmp_path, capsys):
+    # dt*gamma = 3: RK4 amplifies the decay, 16.44 at t = 10 against mu/gamma = 1/3
+    base = ["growth", "--gamma", "3", "--mu", "1", "--n0", "1", "--t0", "0", "--t1", "10",
+            "--out", str(tmp_path / "o")]
+    assert run_cli(*base, "--dt", "1") == 2
+    largest = 0.9284311876666668
+    assert capsys.readouterr().err == (
+        "error: --dt 1.0 gives dt*gamma = 3, above 2.785293563, the RK4 stability bound; "
+        f"the largest --dt that passes is {largest}\n"
+    )
+    assert not (tmp_path / "o").exists()
+    assert run_cli(*base, "--dt", repr(math.nextafter(largest, 1.0))) == 2
+    capsys.readouterr()
+    # below the start of 1 Mveh: decaying, if slowly at the bound itself
+    for dt in ("0.9", repr(largest)):
+        assert run_cli(*base, "--dt", dt) == 0
+        assert "fleet at 10.0: 0." in capsys.readouterr().out
+    # the default step of 0.1 is refused alike
+    assert run_cli(*base[:-2], "--gamma", "1e8", "--out", str(tmp_path / "p")) == 2
+    assert capsys.readouterr().err.startswith("error: --dt 0.1 gives dt*gamma = 1e+07,")
 
 
 # ---------------------------------------------------------------- scenario
@@ -342,6 +364,21 @@ def test_fit_year_beyond_int64_names_file_and_line(tmp_path, capsys, year):
     assert capsys.readouterr().err == (
         f"error: {csv}: line 4: year {year} does not fit a 64-bit integer\n"
     )
+
+
+def test_fit_years_too_far_apart_for_floats_names_file_and_line(tmp_path, capsys):
+    # int64 years elapsed would wrap past 2**63; above 2**53 they are not exact floats
+    csv = tmp_path / "far.csv"
+    csv.write_text("year,fleet_mveh\n-9000000000000000000,9.0\n1980,10\n"
+                   "9000000000000000000,11.0\n")
+    assert run_cli("fit", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 3: year 1980 is more than 2**53 years after the first year "
+        "-9000000000000000000; elapsed years must be exact as floats\n"
+    )
+    csv.write_text(f"year,fleet_mveh\n0,9.0\n1,10\n{2**53},11.0\n{2**53 + 1},12.0\n")
+    with pytest.raises(ValidationError, match=r"^\S+: line 5: year 9007199254740993 is more"):
+        load_fleet_csv(csv)
 
 
 def test_fit_missing_file_exits_2(tmp_path):

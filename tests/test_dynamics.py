@@ -2,12 +2,16 @@
 integrator and the growth-model closed form."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetdyn import (
     ClassicalLvmParams,
+    Field,
     FleetState,
     GrowthParams,
     IntegrationError,
@@ -24,8 +28,10 @@ from fleetdyn import (
     rhs_growth,
     rhs_modified,
 )
+from fleetdyn.dynamics import _grid
 
 GROWTH = GrowthParams(gamma=0.01, mu=0.65)
+ZERO = Field(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- types
@@ -166,7 +172,7 @@ def test_rhs_modified_sources_and_collapse_point():
 
 def test_rk4_step_identity_on_zero_rhs():
     s = FleetState(3.0, 1.5, 0.5)
-    traj = integrate(lambda x, y: (0.0, 0.0), s, 3.25, 0.25)
+    traj = integrate(ZERO, s, 3.25, 0.25)
     assert len(traj) == 2
     out = traj.final
     assert (out.t, out.x, out.y) == (3.25, 1.5, 0.5)
@@ -176,7 +182,7 @@ def test_rk4_step_rejects_nonpositive_dt():
     s = FleetState(0.0, 1.0, 1.0)
     for dt in (0.0, -0.1):
         with pytest.raises(ValidationError):
-            integrate(lambda x, y: (0.0, 0.0), s, 1.0, dt)
+            integrate(ZERO, s, 1.0, dt)
 
 
 def test_rk4_growth_matches_closed_form_1960_2020():
@@ -211,12 +217,12 @@ def test_rk4_convergence_order():
 # ------------------------------------------------------------- integrate
 
 def test_integrate_single_step_and_preconditions():
-    traj = integrate(lambda x, y: (1.0, 0.0), FleetState(0.0, 0.0, 0.0), 0.5, 0.5)
+    traj = integrate(Field(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), FleetState(0.0, 0.0, 0.0), 0.5, 0.5)
     assert len(traj) == 2
     with pytest.raises(ValidationError):
-        integrate(lambda x, y: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 1.0, 0.1)
+        integrate(ZERO, FleetState(1.0, 0.0, 0.0), 1.0, 0.1)
     with pytest.raises(ValidationError):
-        integrate(lambda x, y: (0.0, 0.0), FleetState(1.0, 0.0, 0.0), 2.0, -0.1)
+        integrate(ZERO, FleetState(1.0, 0.0, 0.0), 2.0, -0.1)
 
 
 def test_integrate_shortens_final_partial_step():
@@ -240,7 +246,7 @@ def test_integrate_shortens_final_partial_step():
     (1978.79, 0.05, 2057.19, 1569),
 ])
 def test_integrate_grid_matches_the_loop_built_grid(t0, dt, t_end, n):
-    traj = integrate(lambda x, y: (0.0, 0.0), FleetState(t0, 1.0, 0.0), t_end, dt)
+    traj = integrate(ZERO, FleetState(t0, 1.0, 0.0), t_end, dt)
     grid = [t0] + [t0 + i * dt for i in range(1, n)]
     grid[-1] = t_end
     assert traj.t.tolist() == grid
@@ -249,74 +255,131 @@ def test_integrate_grid_matches_the_loop_built_grid(t0, dt, t_end, n):
 
 def test_integrate_rejects_blowup():
     with pytest.raises(IntegrationError):
-        integrate(lambda x, y: (1e308, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
+        integrate(Field(0.0, 0.0, 1e308, 0.0, 0.0, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
 
 
 def test_integrate_blowup_names_the_time_the_step_reaches():
-    def rhs_failing_at(step):
-        calls = []
-
-        def rhs(x, y):
-            calls.append((x, y))
-            return (math.inf, 0.0) if len(calls) > 4 * (step - 1) else (0.0, 0.0)
-
-        return rhs
-
-    s = FleetState(0.0, 1.0, 0.0)
+    # A constant slope of 1e307 adds 1e306 per step of 0.1; started 5.5
+    # steps below the float maximum, the state overflows within step 6.
+    top = sys.float_info.max
+    slope = Field(0.0, 0.0, 1e307, 0.0, 0.0, 0.0)
     # the previous grid time plus dt: 0.5 + 0.1 is 0.6, where 6 * 0.1 is not
     with pytest.raises(IntegrationError, match=r"near t=0\.6$"):
-        integrate(rhs_failing_at(6), s, 1.0, 0.1)
-    # the shortened final step reaches t_end
+        integrate(slope, FleetState(0.0, top - 5.5e306, 0.0), 1.0, 0.1)
+    # 10.25 steps below, it overflows within the shortened final step to t_end
     with pytest.raises(IntegrationError, match=r"near t=1\.05$"):
-        integrate(rhs_failing_at(11), s, 1.05, 0.1)
+        integrate(slope, FleetState(0.0, top - 10.25e306, 0.0), 1.05, 0.1)
 
 
 def test_integrate_checks_every_stage_state():
-    # Only the first RHS value is huge, so the step result alone would be
-    # finite (1 + 4/6 * 1e308), but the midpoint stage 1 + 2 * 1e308 is not.
-    seen = []
-
-    def rhs(x, y):
-        seen.append((x, y))
-        return (1e308, 0.0) if len(seen) == 1 else (0.0, 0.0)
-
+    # dx = -x with dt = 4: the stages are -x0, 3*x0 and -11*x0, the exact
+    # step result 5*x0. From x0 = 2e307 the result 1e308 is finite but the
+    # last stage overflows, and the step must still fail.
     with pytest.raises(IntegrationError, match=r"non-finite near t=4\.0$"):
-        integrate(rhs, FleetState(0.0, 1.0, 0.0), 4.0, 4.0)
-    # the RHS is never evaluated at a non-finite state
-    assert seen == [(1.0, 0.0)]
+        integrate(Field(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0), FleetState(0.0, 2e307, 0.0), 4.0, 4.0)
+
+
+def _reference_integrate(rhs, s0, t_end, dt):
+    """The integrator as a loop over calls of rhs that checks each stage state."""
+
+    def rk4(rhs, x, y, dt):
+        k1x, k1y = rhs(x, y)
+        x2, y2 = x + 0.5 * dt * k1x, y + 0.5 * dt * k1y
+        if not (math.isfinite(x2) and math.isfinite(y2)):
+            return math.nan, math.nan
+        k2x, k2y = rhs(x2, y2)
+        x3, y3 = x + 0.5 * dt * k2x, y + 0.5 * dt * k2y
+        if not (math.isfinite(x3) and math.isfinite(y3)):
+            return math.nan, math.nan
+        k3x, k3y = rhs(x3, y3)
+        x4, y4 = x + dt * k3x, y + dt * k3y
+        if not (math.isfinite(x4) and math.isfinite(y4)):
+            return math.nan, math.nan
+        k4x, k4y = rhs(x4, y4)
+        return (
+            x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        )
+
+    n_full, remainder = _grid(s0.t, dt, t_end)
+    x, y = s0.x, s0.y
+    xs, ys = [x], [y]
+    for i in range(1, n_full + 1 + (remainder > 0)):
+        x, y = rk4(rhs, x, y, dt if i <= n_full else remainder)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            near = s0.t + (i - 1) * dt + dt if i <= n_full else t_end
+            raise IntegrationError(f"state became non-finite near t={near}")
+        xs.append(x)
+        ys.append(y)
+    return Trajectory(s0.t, dt, t_end, np.array(xs), np.array(ys))
+
+
+def _outcome(run, *args):
+    try:
+        traj = run(*args)
+    except IntegrationError as exc:
+        return str(exc)
+    return traj.t.tolist(), traj.x.tolist(), traj.y.tolist()
+
+
+# Moderate coefficients, which overflow only after some steps if at all;
+# or some coefficients of any size, special values included, which mostly
+# overflow within the first step.
+moderate = st.floats(-4.0, 4.0)
+extreme = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+)
+fields = st.one_of(
+    st.builds(Field, *[moderate] * 6),
+    st.builds(Field, *[st.one_of(moderate, moderate, extreme)] * 6),
+)
+state = st.one_of(moderate, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    field=fields,
+    x0=state,
+    y0=state,
+    t0=st.floats(-100.0, 100.0),
+    dt=st.floats(0.01, 3.0),
+    steps=st.integers(1, 40),
+    # 0 for a whole number of steps, else the length of the shortened final step
+    part=st.one_of(st.just(0.0), st.floats(0.05, 0.95)),
+)
+def test_integrate_equals_the_stage_checked_reference(field, x0, y0, t0, dt, steps, part):
+    s0 = FleetState(t0, x0, y0)
+    t_end = t0 + (steps + part) * dt
+    assert _outcome(integrate, field, s0, t_end, dt) == _outcome(
+        _reference_integrate, field.__call__, s0, t_end, dt
+    )
 
 
 def test_integrate_rejects_non_finite_horizon_and_step():
     s = FleetState(2000.0, 1.0, 0.0)
     for t_end, text in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
         with pytest.raises(ValidationError, match=rf"^t_end must be finite, got {text}$"):
-            integrate(lambda x, y: (0.0, 0.0), s, t_end, 0.1)
+            integrate(ZERO, s, t_end, 0.1)
     for dt, text in ((math.inf, "inf"), (math.nan, "nan")):
         with pytest.raises(ValidationError, match=rf"^dt must be positive and finite, got {text}$"):
-            integrate(lambda x, y: (0.0, 0.0), s, 2020.0, dt)
+            integrate(ZERO, s, 2020.0, dt)
 
 
 def test_integrate_refuses_more_steps_than_the_cap():
-    calls = []
-
-    def rhs(x, y):
-        calls.append((x, y))
-        return 0.0, 0.0
-
     s = FleetState(2020.0, 28.95, 0.0)
     # 8e10 steps, far above the cap: refused before any step list is built
     with pytest.raises(ValidationError, match=r"^dt = 1e-09 needs 8e\+10 steps from 2020\.0"):
-        integrate(rhs, s, 2100.0, 1e-9)
+        integrate(ZERO, s, 2100.0, 1e-9)
     # the smallest subnormal step asks for infinitely many
     with pytest.raises(ValidationError, match=r"needs inf steps"):
-        integrate(rhs, s, 2100.0, 5e-324)
-    assert calls == []
+        integrate(ZERO, s, 2100.0, 5e-324)
 
 
 def test_integrate_refuses_a_step_at_the_time_resolution():
     # near 2020 the float spacing is 2.3e-13: 2020 + i * 1e-14 repeats times
     with pytest.raises(ValidationError, match=r"^dt = 1e-14 is below the time resolution"):
-        integrate(lambda x, y: (0.0, 0.0), FleetState(2020.0, 1.0, 0.0), 2020.000000001, 1e-14)
+        integrate(ZERO, FleetState(2020.0, 1.0, 0.0), 2020.000000001, 1e-14)
     with pytest.raises(ValidationError, match=r"time resolution"):
         Trajectory(2020.0, 1e-14, 2020.00000000001, np.zeros(1001), np.zeros(1001))
 
@@ -325,10 +388,10 @@ def test_integrate_step_cap_is_inclusive(monkeypatch):
     import fleetdyn.dynamics as dynamics
 
     monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
-    traj = integrate(lambda x, y: (0.0, 0.0), FleetState(0.0, 1.0, 0.0), 1.0, 0.1)
+    traj = integrate(ZERO, FleetState(0.0, 1.0, 0.0), 1.0, 0.1)
     assert len(traj) == 11
     with pytest.raises(ValidationError, match=r"at most 10 are allowed$"):
-        integrate(lambda x, y: (0.0, 0.0), FleetState(0.0, 1.0, 0.0), 1.0, 0.099)
+        integrate(ZERO, FleetState(0.0, 1.0, 0.0), 1.0, 0.099)
 
 
 def test_integrate_classical_orbit_closes(orbit_params):
