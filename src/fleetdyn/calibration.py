@@ -35,8 +35,6 @@ __all__ = [
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
 # FleetSeries holds its years as int64.
 _YEAR_RANGE = np.iinfo(np.int64)
-# fit_growth takes the years elapsed since the first as floats: exact up to here.
-_MAX_ELAPSED = 2**53
 
 _MAX_ITER = 200
 _REL_TOL = 1e-10
@@ -295,7 +293,8 @@ def load_fleet_csv(path) -> FleetSeries:
                     f"{path}: line {lineno}: year {year} does not follow {years[-1]}; "
                     "years must be strictly increasing"
                 )
-            if years and year - years[0] > _MAX_ELAPSED:
+            # fit_growth takes the years elapsed since the first as floats
+            if years and year - years[0] > 2**53:
                 raise ValidationError(
                     f"{path}: line {lineno}: year {year} is more than 2**53 years after "
                     f"the first year {years[0]}; elapsed years must be exact as floats"
