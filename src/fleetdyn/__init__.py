@@ -39,9 +39,6 @@ from .dynamics import (
     integrate,
     lv_conserved_quantity,
     modified_system,
-    rhs_classical,
-    rhs_growth,
-    rhs_modified,
 )
 from .errors import (
     DegenerateCaseError,

@@ -14,7 +14,7 @@ central-difference verifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import LvmParams
@@ -69,9 +69,6 @@ class SensitivityVector:
     d_gamma_h: float
     d_gamma_c: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name[2:]: getattr(self, f.name) for f in fields(self)}
-
     def __getitem__(self, param: str) -> float:
         return getattr(self, "d_" + param)
 
@@ -107,12 +104,10 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     delta - (s - g)^2 = 4 g a mu_h turn the differences into quotients of
     positive sums, so the equilibrium is accurate to rounding even when a
     fleet's asymptote is many orders below the coefficient scale.
+
+    Raises NoFixedPointError where delta <= 0, and DegenerateCaseError
+    where the rates are so small that an asymptote is not a finite float.
     """
-    if p.a == 0 or p.epsilon == 0 or p.gamma_c == 0 or p.gamma_h == 0:
-        raise DegenerateCaseError(
-            "a, epsilon, gamma_c and gamma_h must all be nonzero for the "
-            "competition equilibrium; use the growth model for a single fleet"
-        )
     delta = discriminant(p)
     if delta <= 0:
         raise NoFixedPointError(
@@ -121,11 +116,17 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     sq = math.sqrt(delta)
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
     gg = p.gamma_c * p.gamma_h
+    # With delta > 0 the other denominators are positive; 2 a gamma_h is
+    # zero where the product underflows.
     x_inf = 2.0 * p.gamma_h * p.mu_c / (coupling + gg + sq)
     if coupling >= gg:
-        y_inf = (coupling - gg + sq) / (2.0 * p.a * p.gamma_h)
+        y_den = 2.0 * p.a * p.gamma_h
+        y_inf = (coupling - gg + sq) / y_den if y_den else math.inf
     else:
         y_inf = 2.0 * p.gamma_c * p.mu_h / (sq + gg - coupling)
+    if not (math.isfinite(x_inf) and math.isfinite(y_inf)):
+        raise DegenerateCaseError(f"no finite competition equilibrium for a = {p.a}, "
+                                  f"epsilon = {p.epsilon}, gamma_h = {p.gamma_h}")
     return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=delta)
 
 

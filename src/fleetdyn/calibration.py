@@ -44,7 +44,8 @@ _NORM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FleetSeries:
-    """Historical fleet sizes: strictly increasing integer years, fleet in Mveh."""
+    """Historical fleet sizes: strictly increasing integer years spanning at
+    most 2**53 years, fleet in Mveh."""
 
     years: np.ndarray
     fleet: np.ndarray
@@ -56,6 +57,11 @@ class FleetSeries:
             raise ValidationError("years and fleet must be 1-d arrays of equal length")
         if len(years) == 0:
             raise ValidationError("series must not be empty")
+        # On Python ints; within 2**53 neither np.diff nor fit_growth's
+        # elapsed years can wrap, and those years are exact floats.
+        span = int(years.max()) - int(years.min())
+        if span > 2**53:
+            raise ValidationError(f"years span {span} years, more than 2**53")
         if np.any(np.diff(years) <= 0):
             raise ValidationError("years must be strictly increasing")
         if np.any(fleet <= 0) or not np.all(np.isfinite(fleet)):

@@ -201,7 +201,7 @@ def cmd_fit(args) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("year,data_mveh,model_mveh,error\n")
         for year, value in zip(data.years, data.fleet):
-            model = growth_closed_form(fit.params, fit.n0, float(year) - fit.anchor_year)
+            model = growth_closed_form(fit.params, fit.n0, float(year - data.years[0]))
             err = calibration.pointwise_error(float(value), model)
             fh.write(f"{year},{value:.6f},{model:.6f},{err:.6f}\n")
 

@@ -27,9 +27,6 @@ __all__ = [
     "FleetState",
     "Trajectory",
     "Field",
-    "rhs_growth",
-    "rhs_classical",
-    "rhs_modified",
     "growth_system",
     "classical_system",
     "modified_system",
@@ -145,10 +142,6 @@ class FleetState:
             if not math.isfinite(value):
                 raise ValidationError(f"FleetState.{name} must be finite, got {value}")
 
-    @property
-    def total(self) -> float:
-        return self.x + self.y
-
     def require_nonnegative(self) -> "FleetState":
         if self.x < 0 or self.y < 0:
             raise ValidationError(f"fleet sizes must be non-negative, got ({self.x}, {self.y})")
@@ -251,21 +244,6 @@ def modified_system(p: LvmParams) -> Field:
     return Field(-p.gamma_c, -p.a, p.mu_c, p.epsilon, -p.gamma_h, p.mu_h)
 
 
-def rhs_growth(n: float, p: GrowthParams) -> float:
-    """Growth-model rate of change: -gamma*n + mu (Mveh/year)."""
-    return growth_system(p)(n, 0.0)[0]
-
-
-def rhs_classical(x: float, y: float, p: ClassicalLvmParams) -> tuple[float, float]:
-    """Classical predator-prey rates (dx/dt, dy/dt)."""
-    return classical_system(p)(x, y)
-
-
-def rhs_modified(x: float, y: float, p: LvmParams) -> tuple[float, float]:
-    """Source-fed competition rates (dx/dt, dy/dt)."""
-    return modified_system(p)(x, y)
-
-
 def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
     """The uniform grid from t0 to t_end: n_full steps of dt, then one
     shortened step of `remainder` when remainder > 0.
@@ -317,8 +295,9 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
     being finite.
     """
     n_full, remainder = _grid(s0.t, dt, t_end)
-    c1, c2, c3, c4, c5, c6 = field
-    x, y = s0.x, s0.y
+    # As floats: numpy scalars would step 3x slower and warn on overflow.
+    c1, c2, c3, c4, c5, c6 = map(float, field)
+    x, y = float(s0.x), float(s0.y)
     xs, ys = [x], [y]
     # field(x, y) written out at each stage: the same IEEE operations in
     # the same order as calling it, without the calls.

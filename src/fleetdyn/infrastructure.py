@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ValidationError
 
 __all__ = [
-    "StationKind",
-    "VehicleKind",
     "StationSpec",
     "VehicleSpec",
     "DeploymentPlan",
@@ -59,21 +56,11 @@ REFUELLINGS_PER_YEAR = 52  # one tank a week
 PETROL_STATION_THROUGHPUT_KG_PER_YEAR = 5e6
 
 
-class StationKind(Enum):
-    SMALL = "small"
-    LARGE = "large"
-
-
-class VehicleKind(Enum):
-    HFC = "hfc"
-    HFCRE = "hfcre"
-
-
 @dataclass(frozen=True)
 class StationSpec:
     """Refuelling-station production capacity and build cost."""
 
-    kind: StationKind
+    kind: str  # label: "small" or "large"
     capacity_per_day: float  # kg/day
     capex: float  # GBP per station
 
@@ -93,7 +80,7 @@ class StationSpec:
 class VehicleSpec:
     """Hydrogen vehicle storage: tank size and annual consumption (weekly fills)."""
 
-    kind: VehicleKind
+    kind: str  # label: "hfc" or "hfcre"
     tank: float  # kg
 
     def __post_init__(self):
@@ -106,10 +93,10 @@ class VehicleSpec:
         return REFUELLINGS_PER_YEAR * self.tank
 
 
-SMALL_STATION = StationSpec(StationKind.SMALL, 200.0, 1e6)
-LARGE_STATION = StationSpec(StationKind.LARGE, 1000.0, 5e6)
-HFC_VEHICLE = VehicleSpec(VehicleKind.HFC, 5.0)
-HFCRE_VEHICLE = VehicleSpec(VehicleKind.HFCRE, 1.5)
+SMALL_STATION = StationSpec("small", 200.0, 1e6)
+LARGE_STATION = StationSpec("large", 1000.0, 5e6)
+HFC_VEHICLE = VehicleSpec("hfc", 5.0)
+HFCRE_VEHICLE = VehicleSpec("hfcre", 1.5)
 
 # Deployment scenarios: which station powers which fleet.
 SCENARIO_BINDINGS = {
@@ -241,21 +228,16 @@ def deployment_plan(
     )
 
 
-def petrol_equivalence(
-    total_stations: int,
-    st: StationSpec,
-    petrol_throughput: float = PETROL_STATION_THROUGHPUT_KG_PER_YEAR,
-) -> PetrolEquivalence:
+def petrol_equivalence(total_stations: int, st: StationSpec) -> PetrolEquivalence:
     """Express a hydrogen build-out as a number of petrol filling stations."""
-    if petrol_throughput <= 0:
-        raise ValidationError("petrol throughput must be positive")
     if total_stations < 0:
         raise ValidationError("total_stations must be non-negative")
-    ratio = petrol_throughput / st.capacity_per_year
+    petrol = PETROL_STATION_THROUGHPUT_KG_PER_YEAR
+    ratio = petrol / st.capacity_per_year
     rounded = round(ratio)
     return PetrolEquivalence(
         ratio_exact=ratio,
-        equivalent_exact=total_stations * st.capacity_per_year / petrol_throughput,
+        equivalent_exact=total_stations * st.capacity_per_year / petrol,
         rounded_ratio=rounded,
         equivalent_at_rounded_ratio=round(total_stations / rounded),
     )
@@ -274,10 +256,9 @@ def write_plan_csv(plans: list[DeploymentPlan], path) -> None:
 
 def plan_report(plan: DeploymentPlan) -> str:
     """Human-readable summary of a deployment plan."""
-    station = plan.station.kind.value
-    vehicle = plan.vehicle.kind.value.upper()
     lines = [
-        f"Scenario {plan.scenario_id}: {vehicle} fleet on {station} stations"
+        f"Scenario {plan.scenario_id}: {plan.vehicle.kind.upper()} fleet "
+        f"on {plan.station.kind} stations"
         + (f" [{plan.basis} support model]" if plan.basis != "daily" else ""),
         f"  uptake                {plan.uptake:g} Mveh/year over {plan.horizon_years} years",
         f"  vehicles per station  {plan.vehicles_per_station} "

@@ -171,15 +171,10 @@ def sample_yearly(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return years, np.interp(years, traj.t, traj.x), np.interp(years, traj.t, traj.y)
 
 
-def write_trajectory_csv(traj: Trajectory, path, yearly: bool = True) -> None:
-    """Write `time,conv,hydro,total` rows with fixed 6-decimal formatting.
-
-    With yearly=True (the default, matching the published figures) one row
-    per integer year is emitted, interpolated on the integration grid;
-    otherwise every grid point is written.
-    """
-    columns = sample_yearly(traj) if yearly else (traj.t, traj.x, traj.y)
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write `time,conv,hydro,total` rows with fixed 6-decimal formatting,
+    one per integer year (sample_yearly), as in the published figures."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\n")
-        for t, x, y in zip(*(c.tolist() for c in columns)):
+        for t, x, y in zip(*(c.tolist() for c in sample_yearly(traj))):
             fh.write(f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n")

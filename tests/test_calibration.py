@@ -55,6 +55,17 @@ def test_fleet_series_validation():
     assert len(make_series(RAC_POINTS)) == 10
 
 
+@pytest.mark.parametrize("years", [
+    [-9000000000000000000, 1980, 9000000000000000000],  # elapsed years wrap in int64
+    [-9000000000000000000, 9000000000000000000, 9000000000000000001],  # np.diff wraps
+    [0, 2**53 + 1, 2**53 + 2],  # elapsed years are not exact floats
+])
+def test_fleet_series_refuses_a_span_beyond_exact_floats(years):
+    with pytest.raises(ValidationError, match=r"^years span \d+ years, more than 2\*\*53$"):
+        FleetSeries(np.array(years), np.array([9.0, 10.0, 11.0]))
+    assert len(FleetSeries(np.array([0, 1, 2**53]), np.array([9.0, 10.0, 11.0]))) == 3
+
+
 def test_fuel_mass_model_validation():
     m = FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=260.0)
     assert (m.m_dot, m.m_i, m.m_i_dot) == (1e9, 5.0, 260.0)

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from fleetdyn import GrowthParams, ValidationError, growth_closed_form, load_fleet_csv
+from fleetdyn import (
+    GrowthParams,
+    ValidationError,
+    fit_growth,
+    growth_closed_form,
+    load_fleet_csv,
+)
 from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -381,6 +387,20 @@ def test_fit_years_too_far_apart_for_floats_names_file_and_line(tmp_path, capsys
         load_fleet_csv(csv)
 
 
+def test_fit_csv_errors_match_the_fit_for_large_years(tmp_path, capsys):
+    # float(year) rounds beyond 2**53; the elapsed years must stay exact
+    csv = tmp_path / "late.csv"
+    csv.write_text("year,fleet_mveh\n" + "".join(
+        f"{2**62 + i},{v}\n" for i, v in enumerate((9, 10, 11.5, 12))
+    ))
+    out = tmp_path / "o"
+    assert run_cli("fit", "--data", str(csv), "--out", str(out)) == 0
+    fit = fit_growth(load_fleet_csv(csv))
+    _, rows = read_rows(out / "fit.csv")
+    assert len({r[2] for r in rows}) == 4
+    assert sum(float(r[3]) for r in rows) / len(rows) == pytest.approx(fit.mean_error, abs=1e-6)
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert run_cli("fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
@@ -429,6 +449,17 @@ def test_sensitivity_degenerate_point_exits_1(tmp_path):
         "--gamma_c", "0.25", "--gamma_h", "0.5", "--a", "0.05", "--out", str(tmp_path),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--a", "1e-323", "--gamma_h", "0.001"),  # 2*a*gamma_h underflows to zero
+    ("--a", "1e-320"),  # y_inf overflows
+])
+def test_sensitivity_subnormal_rates_are_a_model_failure(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run_cli("sensitivity", *flags, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("model failure: no finite competition equilibrium")
+    assert not (out / "gradients.csv").exists()
 
 
 # ------------------------------------------------------------------ infra

@@ -3,6 +3,7 @@ integrator and the growth-model closed form."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,6 @@ from fleetdyn import (
     integrate,
     lv_conserved_quantity,
     modified_system,
-    rhs_classical,
-    rhs_growth,
-    rhs_modified,
 )
 from fleetdyn.dynamics import _grid
 
@@ -127,43 +125,44 @@ def test_trajectory_sample_interpolates_and_checks_range():
 
 def test_rhs_growth_fixed_point_and_source():
     # n = mu/gamma is the fixed point; zero fleet feels the bare source.
-    assert rhs_growth(65.0, GROWTH) == pytest.approx(0.0, abs=1e-15)
-    assert rhs_growth(0.0, GROWTH) == 0.65
-    assert rhs_growth(28.59, GROWTH) == pytest.approx(0.65 - 0.01 * 28.59, rel=1e-12)
-    assert rhs_growth(28.59, GROWTH) == pytest.approx(0.3641, abs=1e-10)
+    field = growth_system(GROWTH)
+    assert field(65.0, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
+    assert field(0.0, 0.0)[0] == 0.65
+    assert field(28.59, 0.0)[0] == pytest.approx(0.65 - 0.01 * 28.59, rel=1e-12)
+    assert field(28.59, 0.0)[0] == pytest.approx(0.3641, abs=1e-10)
 
 
 def test_rhs_growth_fixed_point_any_params():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = GrowthParams(gamma=10 ** rng.uniform(-3, 0), mu=rng.uniform(0.0, 2.0))
-        assert abs(rhs_growth(p.mu / p.gamma, p)) <= 4e-16 * max(1.0, p.mu)
+        assert abs(growth_system(p)(p.mu / p.gamma, 0.0)[0]) <= 4e-16 * max(1.0, p.mu)
 
 
 def test_rhs_classical_fixed_point_and_hand_values(orbit_params):
     # fixed point (gamma_h/eps, gamma_c/a) = (1, 0.5)
-    dx, dy = rhs_classical(1.0, 0.5, orbit_params)
+    dx, dy = classical_system(orbit_params)(1.0, 0.5)
     assert dx == pytest.approx(0.0, abs=1e-15)
     assert dy == pytest.approx(0.0, abs=1e-15)
     # no predators: pure exponential prey growth
-    dx, dy = rhs_classical(1.0, 0.0, orbit_params)
+    dx, dy = classical_system(orbit_params)(1.0, 0.0)
     assert (dx, dy) == (orbit_params.gamma_c, 0.0)
-    dx, dy = rhs_classical(2.0, 1.0, orbit_params)
+    dx, dy = classical_system(orbit_params)(2.0, 1.0)
     assert dx == pytest.approx(-4.0 / 3.0, rel=1e-12)
     assert dy == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rhs_modified_sources_and_collapse_point():
     p = LvmParams(gamma_c=0.3, gamma_h=0.2, a=0.1, epsilon=0.4, mu_c=0.65, mu_h=0.35)
-    assert rhs_modified(0.0, 0.0, p) == (0.65, 0.35)
+    assert modified_system(p)(0.0, 0.0) == (0.65, 0.35)
     # with y = 0 and mu_h = 0 the x equation is the growth model
     p2 = LvmParams(gamma_c=0.01, gamma_h=0.2, a=0.1, epsilon=0.4, mu_c=0.65, mu_h=0.0)
-    dx, dy = rhs_modified(65.0, 0.0, p2)
+    dx, dy = modified_system(p2)(65.0, 0.0)
     assert dx == pytest.approx(0.0, abs=1e-15)
     assert dy == 0.0
     # moderate-scenario start
     mod = LvmParams(gamma_c=0.01, gamma_h=0.01, a=0.005, epsilon=0.005, mu_c=0.65, mu_h=0.35)
-    dx, dy = rhs_modified(28.95, 0.0, mod)
+    dx, dy = modified_system(mod)(28.95, 0.0)
     assert dx == pytest.approx(0.3605, abs=1e-12)
     assert dy == 0.35
 
@@ -256,6 +255,22 @@ def test_integrate_grid_matches_the_loop_built_grid(t0, dt, t_end, n):
 def test_integrate_rejects_blowup():
     with pytest.raises(IntegrationError):
         integrate(Field(0.0, 0.0, 1e308, 0.0, 0.0, 1e308), FleetState(0.0, 1.0, 1.0), 1.0, 0.5)
+
+
+def test_integrate_steps_numpy_scalars_as_floats():
+    # np.float64 arithmetic would warn on the overflow instead of reaching
+    # the finiteness check, and run about 3x slower
+    big = Field(*map(np.float64, (0, 0, 1e308, 0, 0, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"near t=1\.0$"):
+            integrate(big, FleetState(0.0, 1e308, 1e308), 10.0, 1.0)
+    p = LvmParams(0.01, 0.01, 0.005, 0.005, 0.65, 0.35)
+    s0 = FleetState(2020.0, 28.95, 0.0)
+    as_numpy = integrate(Field(*map(np.float64, modified_system(p))), s0, 2030.0, 0.1)
+    as_float = integrate(modified_system(p), s0, 2030.0, 0.1)
+    assert as_numpy.x.tolist() == as_float.x.tolist()
+    assert as_numpy.y.tolist() == as_float.y.tolist()
 
 
 def test_integrate_blowup_names_the_time_the_step_reaches():

@@ -242,10 +242,3 @@ def test_sample_yearly_matches_pointwise_sample(trajectories):
         assert years.tolist() == list(range(first, last + 1))
         # one vectorised interpolation per column equals the per-year sample
         assert list(zip(xs.tolist(), ys.tolist())) == [traj.sample(t) for t in years.tolist()]
-
-
-def test_trajectory_csv_full_resolution(tmp_path, trajectories):
-    path = tmp_path / "full.csv"
-    write_trajectory_csv(trajectories["low"], path, yearly=False)
-    assert len(path.read_text().splitlines()) == len(trajectories["low"]) + 1
-
