@@ -76,20 +76,27 @@ class SensitivityVector:
 def discriminant(p: LvmParams) -> float:
     """Discriminant of the fixed-point quadratic; a fixed point exists iff it is positive.
 
-    delta = a^2 mu_h^2 + 2 a eps mu_c mu_h + 2 a gamma_c gamma_h mu_h
-            + eps^2 mu_c^2 + gamma_c^2 gamma_h^2 - 2 eps gamma_c gamma_h mu_c
-
-    For valid parameters it equals (eps mu_c - gamma_c gamma_h)^2 plus mu_h
-    times non-negative terms, so it is zero only on a boundary of the domain.
+    With A = a mu_h, B = eps mu_c and G = gamma_c gamma_h,
+    delta = A^2 + 2AB + 2AG + B^2 + G^2 - 2BG = (A + B - G)^2 + 4AG,
+    so it is zero only on a boundary of the domain. The six terms are
+    summed exactly with A, B and G scaled by one power of two, which is
+    undone without rounding, so no square overflows or underflows on its
+    own. Raises DegenerateCaseError where delta itself is not a finite float.
     """
-    return math.fsum((
-        p.a**2 * p.mu_h**2,
-        2.0 * p.a * p.epsilon * p.mu_c * p.mu_h,
-        2.0 * p.a * p.gamma_c * p.gamma_h * p.mu_h,
-        p.epsilon**2 * p.mu_c**2,
-        p.gamma_c**2 * p.gamma_h**2,
-        -2.0 * p.epsilon * p.gamma_c * p.gamma_h * p.mu_c,
-    ))
+    a_mu, e_mu, g_g = p.a * p.mu_h, p.epsilon * p.mu_c, p.gamma_c * p.gamma_h
+    largest = max(a_mu, e_mu, g_g)
+    if largest < math.inf:
+        k = -math.frexp(largest)[1]
+        a, b, g = math.ldexp(a_mu, k), math.ldexp(e_mu, k), math.ldexp(g_g, k)
+        d = math.fsum((a * a, 2.0 * a * b, 2.0 * a * g, b * b, g * g, -2.0 * b * g))
+        try:
+            return math.ldexp(d, -2 * k)
+        except OverflowError:
+            pass
+    raise DegenerateCaseError(
+        f"the discriminant overflows a float for a*mu_h = {a_mu:g}, "
+        f"epsilon*mu_c = {e_mu:g}, gamma_c*gamma_h = {g_g:g}"
+    )
 
 
 def asymptotic_state(p: LvmParams) -> Equilibrium:

@@ -1,11 +1,12 @@
 """Historical-data ingestion and growth-model calibration.
 
-The fit minimises the sum of squared residuals between the growth-model
-closed form and the data over (gamma, mu, n0) with a damped Gauss-Newton
-iteration (Levenberg-Marquardt style multiplicative damping). It is fully
-deterministic: fixed initialisation, fixed damping schedule, fixed
-stopping rule. Each trial point is evaluated once; a rejected step only
-re-solves the damped normal equations of the current point.
+The fit minimises the sum of squared residuals (SSR) between the
+growth-model closed form and the data over (gamma, mu, n0) by variable
+projection: at a fixed gamma the model is linear in (n0, mu), so the fit
+is a 1-D search over gamma of the profile SSR (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 1973; O'Leary & Rust, Comput. Optim. Appl. 54, 2013). It
+is deterministic, with a fixed rate grid and fixed tolerances, and
+reports whether it ended inside the domain or at the gamma -> 0 boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import GrowthParams, Trajectory, growth_closed_form
+from .dynamics import GrowthParams, Trajectory
 from .errors import FitError, ParseError, ValidationError
 
 __all__ = [
@@ -36,9 +37,15 @@ FLEET_CSV_HEADER = ("year", "fleet_mveh")
 # FleetSeries holds its years as int64.
 _YEAR_RANGE = np.iinfo(np.int64)
 
-_MAX_ITER = 200
+# Scaled rates gamma * span the profile SSR is scanned on: the gamma -> 0
+# edge, then 25 log-spaced points from 1e-4 to 1e2 (10**(k/4), k = -16..8).
+_EDGE = 1e-12
+_RATES = np.concatenate(([_EDGE], 10.0 ** (np.arange(-16, 9) / 4.0)))
+_LOG_RATES = np.log(_RATES)
+_MAX_STEPS = 50
+# Relative SSR change of a Newton step that ends the search.
 _REL_TOL = 1e-10
-# Residual norm below this counts as an exact fit (noise-free data).
+# Residual norm below this fraction of the data norm counts as an exact fit.
 _NORM_FLOOR = 1e-12
 
 
@@ -104,6 +111,11 @@ class FitResult:
     n0 is the fitted fleet size at anchor_year (the earliest data year);
     mean_error/std_error are the mean and population standard deviation of
     the point-wise relative errors |data - model| / data at the data years.
+    n_iterations counts the Newton steps after the grid scan. termination
+    is "interior" for an optimum at a positive rate and "boundary" for the
+    gamma -> 0 limit, reported as the least-squares line at the vanishing
+    rate gamma = 1e-12 / span; the best point a FitError carries says "not
+    converged".
     """
 
     params: GrowthParams
@@ -113,6 +125,7 @@ class FitResult:
     std_error: float
     n_iterations: int
     ssr: float
+    termination: str
 
 
 def derive_growth_params(f: FuelMassModel) -> GrowthParams:
@@ -150,107 +163,139 @@ def mean_error(data: FleetSeries, model: Trajectory) -> tuple[float, float]:
     return float(errors.mean()), float(errors.std())
 
 
-def _model(theta, t):
-    """Closed-form model values at theta, with e = exp(-gamma*t) for _jacobian."""
-    gamma, mu, n0 = theta
-    e = np.exp(-gamma * t)
-    n_inf = mu / gamma
-    return n_inf + (n0 - n_inf) * e, e
+def _project(s, tau, f):
+    """Variable projection of the fit at scaled rates s = gamma * span.
+
+    Either s is one rate and tau the 1-d elapsed times over the span, or s
+    is a 1-d array of k rates and tau a column, and every result has one
+    entry per rate. At each rate the model n0 e + mu phi, with e =
+    exp(-s tau) and phi = -expm1(-s tau) / s, is linear in (n0, mu): its
+    least-squares (n0, mu) come from a two-column QR (phi orthogonalised
+    against e, so no determinant cancels), fitting e alone where the free
+    mu would be negative, so mu >= 0. Returns the profile SSR, n0, mu (per
+    unit tau), the residuals, the gradient of the SSR in log s by the
+    envelope formula -2 r . dmodel/dlog s, and Kaufman's projected
+    Gauss-Newton curvature 2 |P dmodel/dlog s|^2, P projecting out the
+    columns in use.
+    """
+    ms_tau = -s * tau
+    e = np.exp(ms_tau)
+    phi = np.expm1(ms_tau) / -s
+    ee = _dot(e, e)
+    c = _dot(e, phi) / ee
+    w = phi - c * e
+    ww = _dot(w, w)
+    mu = np.maximum(_dot(w, f), 0.0) / ww
+    n0 = _dot(e, f) / ee - mu * c
+    r = f - n0 * e - mu * phi
+    # d(model)/d(log s); s dphi/ds = tau e - phi, which cancels only where
+    # s tau is far below the scan grid.
+    d = (n0 * ms_tau + mu * tau) * e - mu * phi
+    pd = d - _dot(e, d) / ee * e
+    pd = pd - _dot(w, pd) / ww * (mu > 0) * w
+    return _dot(r, r), n0, mu, r, -2.0 * _dot(r, d), 2.0 * _dot(pd, pd)
 
 
-def _jacobian(theta, t, e):
-    """Jacobian columns d/d(gamma, mu, n0) at theta, from the e of _model."""
-    gamma, mu, n0 = theta
-    n_inf = mu / gamma
-    d_gamma = (mu / gamma**2) * (e - 1.0) - t * (n0 - n_inf) * e
-    d_mu = (1.0 - e) / gamma
-    return np.column_stack([d_gamma, d_mu, e])
+def _dot(a, b):
+    """Dot products over the data points, the first axis."""
+    return (a * b).sum(axis=0)
 
 
 def fit_growth(data: FleetSeries) -> FitResult:
-    """Least-squares fit of (gamma, mu, n0) to a fleet series.
+    """Least-squares fit of (gamma, mu, n0) to a fleet series, by variable projection.
 
-    Deterministic damped Gauss-Newton: start from gamma = 1/span,
-    mu = gamma * last value, n0 = first value; damping is multiplied by 10
-    on a rejected step and divided by 10 on an accepted one; stop when the
-    relative residual-norm decrease falls below 1e-10 (or the residual is
-    exactly fitted), failing after 200 iterations.
+    Scan: the profile SSR (the SSR of the best n0 and mu >= 0 at a fixed
+    gamma) is evaluated in one vectorised pass at gamma * span = 1e-12, the
+    gamma -> 0 edge, and at 25 log-spaced points from 1e-4 to 1e2.
 
-    Each trial point is evaluated once. The normal equations are built
-    only at an accepted point, from that evaluation; a rejected step (a
-    singular system, a candidate outside gamma > 0, mu >= 0, or no
-    residual decrease) only raises the damping and re-solves them.
+    Refine: from the grid argmin, a Newton iteration in log gamma, with the
+    envelope gradient and Kaufman's Gauss-Newton curvature, stays inside
+    the bracket of the argmin's grid neighbours and bisects it in log gamma
+    where a step would leave it. A Newton step that changes the SSR by less
+    than 1e-10 of it, or the residual norm by less than 1e-12 of the data
+    norm, ends the search, as does a residual norm below 1e-12 of the data
+    norm (an exact fit). n_iterations counts the Newton steps; after 50 the
+    fit raises FitError.
+
+    Edges: the argmin at gamma -> 0 ends the fit with termination
+    "boundary" (the least-squares line, or the mean where the data fall,
+    at gamma = 1e-12 / span) unless the profile falls from the line there;
+    then the search runs up from the line, since an optimum can sit below
+    the first grid rate. An argmin at the top of the grid, where the rate
+    runs to infinity as on a step to a plateau, raises FitError carrying
+    that point as `best`. Every other fit ends "interior".
     """
     if len(data) < 3:
         raise ValidationError("fit needs at least 3 data points")
 
     t = (data.years - data.years[0]).astype(float)
-    f = data.fleet
     span = float(t[-1])
+    tau = t / span
+    # The fit is equivariant in the scale of the data: dividing them by a
+    # power of two near their largest value is exact and keeps squares in range.
+    scale = math.ldexp(1.0, math.frexp(float(data.fleet.max()))[1])
+    f = data.fleet / scale
+    ff = float(f @ f)
+    floor = _NORM_FLOOR**2 * ff
 
-    gamma = 1.0 / span
-    mu = gamma * float(f[-1])
-    n0 = float(f[0])
-    theta = np.array([gamma, mu, n0])
-
-    model, e = _model(theta, t)
-    r = model - f
-    norm = math.sqrt(r @ r)
-    lam = 1e-3
-
-    def result(theta, norm, it):
-        params = GrowthParams(gamma=float(theta[0]), mu=float(theta[1]))
-        fitted = np.array(
-            [growth_closed_form(params, float(theta[2]), ti) for ti in t]
-        )
-        errs = np.abs((f - fitted) / f)
+    def result(rate, ssr, n0, mu, r, steps, termination):
+        errs = np.abs(r / f)
         return FitResult(
-            params=params,
-            n0=float(theta[2]),
+            params=GrowthParams(gamma=float(rate) / span, mu=float(mu) * scale / span),
+            n0=float(n0) * scale,
             anchor_year=float(data.years[0]),
             mean_error=float(errs.mean()),
             std_error=float(errs.std()),
-            n_iterations=it,
-            ssr=norm**2,
+            n_iterations=steps,
+            ssr=float(ssr) * scale * scale,
+            termination=termination,
         )
 
-    def normal_equations(theta, r, e):
-        jac = _jacobian(theta, t, e)
-        jtj = jac.T @ jac
-        return jtj, np.diag(np.diag(jtj)), -(jac.T @ r)
+    ssr, n0, mu, r, grad, curv = _project(_RATES, tau[:, None], f[:, None])
+    # exact fits tie at the floor, and the lowest rate among them wins
+    k = int(np.argmin(np.maximum(ssr, floor)))
+    point = _RATES[k], ssr[k], n0[k], mu[k], r[:, k]
+    g, h = grad[k], curv[k]
+    if k == 0:
+        # d SSR/ds at the line, in closed form since tau e - phi cancels
+        # there; r is orthogonal to 1 and, if mu > 0, to tau
+        slope = r[:, 0] @ (tau * (2.0 * n0[0] + mu[0] * tau))
+        if slope >= 0 or ssr[0] <= floor:
+            return result(*point, 0, "boundary")
+        g = _EDGE * slope
+    elif k == len(_RATES) - 1:
+        raise FitError(
+            f"fit did not converge: the rate runs to the top of the search grid, "
+            f"gamma * span = {_RATES[k]:g}",
+            best=result(*point, 0, "not converged"),
+        )
+    lo, hi = _LOG_RATES[max(k - 1, 0)], _LOG_RATES[k + 1]
 
-    jtj, damping, neg_grad = normal_equations(theta, r, e)
-    for it in range(1, _MAX_ITER + 1):
-        try:
-            step = np.linalg.solve(jtj + lam * damping, neg_grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        candidate = theta + step
-        # gamma must stay positive and mu non-negative (GrowthParams domain).
-        if candidate[0] <= 0 or candidate[1] < 0:
-            lam *= 10.0
-            continue
-        model2, e2 = _model(candidate, t)
-        r2 = model2 - f
-        norm2 = math.sqrt(r2 @ r2)
-        if norm2 < norm:
-            improvement = (norm - norm2) / norm
-            theta, r, norm = candidate, r2, norm2
-            lam = max(lam * 0.1, 1e-14)
-            if improvement < _REL_TOL or norm < _NORM_FLOOR:
-                return result(theta, norm, it)
-            jtj, damping, neg_grad = normal_equations(theta, r, e2)
+    steps = 0
+    while point[1] > floor:
+        if steps == _MAX_STEPS:
+            raise FitError(f"fit did not converge within {_MAX_STEPS} Newton steps",
+                           best=result(*point, steps, "not converged"))
+        steps += 1
+        u, cur = math.log(point[0]), point[1]
+        cand = u - g / h if h > 0 else math.inf
+        newton = lo < cand < hi
+        if not newton:
+            cand = 0.5 * (u + (lo if g > 0 else hi))
+        rate = math.exp(cand)
+        c_ssr, c_n0, c_mu, c_r, c_g, c_h = _project(rate, tau, f)
+        # keep the lower point inside the bracket, the other as its edge
+        if c_ssr < cur:
+            point, g, h = (rate, c_ssr, c_n0, c_mu, c_r), c_g, c_h
+            lo, hi = (u, hi) if cand > u else (lo, u)
         else:
-            lam *= 10.0
-            if lam > 1e15:
-                # Damping saturated: no step improves the residual anymore.
-                return result(theta, norm, it)
-
-    raise FitError(
-        f"fit did not converge within {_MAX_ITER} iterations",
-        best=result(theta, norm, _MAX_ITER),
-    )
+            lo, hi = (lo, cand) if cand > u else (cand, hi)
+        # A Newton step that moves the SSR by under _REL_TOL of it, or the
+        # residual norm by under _NORM_FLOOR of the data norm (rounding
+        # alone moves a small SSR by more than _REL_TOL of it), ends it.
+        if newton and abs(cur - c_ssr) <= _REL_TOL * cur + 2.0 * _NORM_FLOOR * math.sqrt(cur * ff):
+            break
+    return result(*point, steps, "boundary" if point[0] == _EDGE else "interior")
 
 
 def _is_blank(row) -> bool:

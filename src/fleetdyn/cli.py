@@ -209,6 +209,7 @@ def cmd_fit(args) -> int:
     print(f"mu    = {fit.params.mu:.6f} Mveh/year")
     print(f"n0    = {fit.n0:.6f} Mveh at {fit.anchor_year:.0f}")
     print(f"error = {fit.mean_error:.6f} +- {fit.std_error:.6f} (relative, mean +- std)")
+    print(f"termination = {fit.termination}")
     print(f"wrote {path}")
     return 0
 

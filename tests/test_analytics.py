@@ -68,6 +68,15 @@ def test_discriminant_matches_hand_formula():
         assert discriminant(p) == pytest.approx(hand_discriminant(p), rel=1e-12, abs=1e-300)
 
 
+def test_discriminant_finite_where_its_terms_overflow():
+    # B = eps mu_c and G = gamma_c gamma_h are 1e200: B^2, G^2 and 2BG
+    # overflow, but they cancel and delta = 4AG + A^2 is a finite float.
+    p = LvmParams(gamma_c=1e100, gamma_h=1e100, a=1e-100, epsilon=1e100, mu_c=1e100, mu_h=1.0)
+    assert discriminant(p) == pytest.approx(4e100, rel=1e-12)
+    with pytest.raises(DegenerateCaseError, match="discriminant overflows"):
+        discriminant(LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 0.65))
+
+
 def test_discriminant_monotone_in_mu_h_and_a():
     rng = np.random.default_rng(6)
     for _ in range(50):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetdyn.calibration as calibration
 from fleetdyn import (
@@ -232,6 +234,21 @@ def test_fit_scales_linearly_with_data():
     assert f2.n0 == pytest.approx(2.0 * f1.n0, rel=1e-6)
 
 
+@pytest.mark.parametrize("factor", [2.0**-1000, 2.0**900])
+def test_fit_of_rescaled_data_is_exact_at_the_ends_of_the_float_range(factor):
+    years = np.arange(1960, 2021, 5)
+    data = synthetic_series(GrowthParams(0.02, 0.8), 1.5, years, 1960)
+    noisy = FleetSeries(data.years, data.fleet * (1 + 0.01 * np.sin(np.arange(len(data)))))
+    base = fit_growth(noisy)
+    with np.errstate(over="raise", invalid="raise"):
+        fit = fit_growth(FleetSeries(noisy.years, noisy.fleet * factor))
+    assert fit.params.gamma == base.params.gamma
+    assert fit.params.mu == base.params.mu * factor
+    assert fit.n0 == base.n0 * factor
+    assert (fit.mean_error, fit.std_error, fit.n_iterations) == (
+        base.mean_error, base.std_error, base.n_iterations)
+
+
 def test_fit_rac_lands_in_near_linear_valley():
     # The ten-point series is close to linear, so the unconstrained
     # least-squares optimum sits at a vanishing rate with mu near the
@@ -307,6 +324,7 @@ def _reference_fit_growth(data):
             std_error=float(errs.std()),
             n_iterations=it,
             ssr=norm**2,
+            termination="reference loop",
         )
 
     for it in range(1, 201):
@@ -380,50 +398,192 @@ def _fit_corpus(count):
     return corpus
 
 
-def test_fit_equals_reference_loop_on_uk_series():
+def _ssr_at(data, params, n0):
+    """SSR of a growth curve at the data years, from the cancellation-free closed form."""
+    return math.fsum(
+        (v - growth_closed_form(params, n0, float(y - data.years[0]))) ** 2
+        for y, v in zip(data.years, data.fleet)
+    )
+
+
+def _rounding_slack(data, ssr):
+    """How far two converged fits' SSRs may differ, by rounding and stopping rule.
+
+    The fit stops once a Newton step moves the residual norm |r| by less
+    than 1e-12 |f|, so the SSR by about 2e-12 |r| |f|, and the distance left
+    to the minimum is a small fraction of that last move; below 1e-24 |f|^2
+    (|r| under 1e-12 |f|) the fit counts as exact and stops.
+    """
+    ff = float(data.fleet @ data.fleet)
+    return 1e-13 * math.sqrt(ff * ssr) + 1e-24 * ff
+
+
+def _never_above_reference(data):
+    fit, ref = fit_growth(data), _reference_fit_growth(data)
+    fit_ssr, ref_ssr = _ssr_at(data, fit.params, fit.n0), _ssr_at(data, ref.params, ref.n0)
+    assert fit_ssr <= ref_ssr + _rounding_slack(data, ref_ssr)
+    assert fit.ssr == pytest.approx(fit_ssr, rel=1e-9, abs=_rounding_slack(data, fit_ssr))
+    return fit, ref
+
+
+def test_fit_never_above_reference_loop_on_uk_series():
     data = bundled_uk_fleet_series()
-    assert _fit_fields(fit_growth(data)) == _fit_fields(_reference_fit_growth(data))
+    fit, ref = _never_above_reference(data)
+    # the loop stops short of the line the data prefer
+    assert _ssr_at(data, ref.params, ref.n0) == pytest.approx(10.897262, abs=1e-6)
+    assert fit.ssr <= 10.89698
+    assert fit.termination == "boundary"
+    assert fit.params.gamma * 45 == pytest.approx(1e-12)
 
 
-def test_fit_equals_reference_loop_on_seeded_corpus():
+def test_fit_never_above_reference_loop_on_seeded_corpus():
     boundary = interior = 0
     for data in _fit_corpus(240):
-        fit = fit_growth(data)
-        assert _fit_fields(fit) == _fit_fields(_reference_fit_growth(data))
-        if fit.params.gamma < 1e-6:
+        fit, ref = _never_above_reference(data)
+        if fit.termination == "boundary":
             boundary += 1
-        else:
-            interior += 1
+            continue
+        assert fit.termination == "interior"
+        interior += 1
+        span = float(data.years[-1] - data.years[0])
+        if ref.params.gamma * span >= 1e-4:
+            # the same interior optimum, within the test_fit_* bounds
+            assert fit.params.gamma == pytest.approx(ref.params.gamma, rel=1e-3)
+            assert fit.params.mu == pytest.approx(ref.params.mu, rel=1e-3)
+            assert fit.n0 == pytest.approx(ref.n0, rel=1e-3)
     # both kinds of stop are covered
     assert boundary >= 30 and interior >= 120
 
 
-def test_fit_error_equals_reference_loop():
-    # A step to a plateau: gamma grows without bound, so the fit never
-    # meets its stopping rule.
+def test_fit_error_on_step_to_plateau_carries_best():
+    # A step to a plateau: the rate runs to the top of the search grid.
     data = make_series([(2000, 10.0), (2010, 20.0), (2020, 20.0), (2030, 20.0)])
-    with pytest.raises(FitError) as new:
+    with pytest.raises(FitError, match="top of the search grid") as exc:
         fit_growth(data)
-    with pytest.raises(FitError) as ref:
+    best = exc.value.best
+    assert isinstance(best, FitResult)
+    assert best.termination == "not converged"
+    assert best.params.gamma * 30 == pytest.approx(100.0)
+    assert best.ssr == pytest.approx(_ssr_at(data, best.params, best.n0), abs=1e-20)
+    with pytest.raises(FitError):
         _reference_fit_growth(data)
-    assert str(new.value) == str(ref.value) == "fit did not converge within 200 iterations"
-    assert _fit_fields(new.value.best) == _fit_fields(ref.value.best)
-    assert new.value.best.n_iterations == 200
 
 
-def test_fit_evaluates_each_trial_point_once(monkeypatch):
+def test_fit_evaluates_the_profile_once_per_newton_step(monkeypatch):
     calls = []
-    model = calibration._model
+    project = calibration._project
 
-    def counting_model(theta, t):
-        calls.append(tuple(theta))
-        return model(theta, t)
+    def counting(s, tau, f):
+        calls.append(np.size(s))
+        return project(s, tau, f)
 
-    monkeypatch.setattr(calibration, "_model", counting_model)
-    fit = fit_growth(bundled_uk_fleet_series())
-    # one evaluation at the start point, at most one per iteration after it
-    assert len(calls) <= fit.n_iterations + 1
-    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(calibration, "_project", counting)
+    for data in _fit_corpus(8):
+        calls.clear()
+        fit = fit_growth(data)
+        # one vectorised scan of the whole grid, then one rate per Newton step
+        assert calls == [len(calibration._RATES)] + [1] * fit.n_iterations
+
+
+def test_fit_error_after_the_newton_step_cap(monkeypatch):
+    data = _fit_corpus(1)[0]
+    steps = fit_growth(data).n_iterations
+    monkeypatch.setattr(calibration, "_MAX_STEPS", steps - 1)
+    with pytest.raises(FitError, match=f"within {steps - 1} Newton steps") as exc:
+        fit_growth(data)
+    assert exc.value.best.n_iterations == steps - 1
+    assert exc.value.best.termination == "not converged"
+
+
+def test_fit_finds_an_optimum_below_the_first_grid_rate():
+    # Noise-free data with gamma * span = 1e-5: every grid rate (the lowest
+    # is 1e-4) fits worse than the line, but the profile falls from the line.
+    years = np.arange(1970, 2021, 5)
+    data = synthetic_series(GrowthParams(1e-5 / 50, 0.4), 6.0, years, 1970)
+    t = (years - 1970).astype(float)
+    assert _profile_ssr(t, data.fleet, 1e-4 / 50) > _line_ssr(t, data.fleet)
+    fit = fit_growth(data)
+    assert fit.termination == "interior"
+    assert fit.params.gamma * 50 == pytest.approx(1e-5, rel=1e-3)
+    assert fit.ssr < _line_ssr(t, data.fleet) * 1e-6
+
+
+def test_fit_keeps_mu_non_negative_on_a_decaying_series():
+    data = make_series([(2000, 10.0), (2005, 9.0), (2010, 8.0), (2015, 7.0), (2020, 6.1)])
+    fit, ref = _never_above_reference(data)
+    assert fit.termination == "interior"
+    assert fit.params.mu == 0.0
+    # the loop stalls on its way to the mu = 0 face
+    assert fit.ssr < _ssr_at(data, ref.params, ref.n0)
+
+
+# ---------------------------------------------- fit against the profile SSR
+
+def _lstsq_ssr(columns, f):
+    coef, *_ = np.linalg.lstsq(np.column_stack(columns), f, rcond=None)
+    r = f - np.column_stack(columns) @ coef
+    return coef, float(r @ r)
+
+
+def _profile_ssr(t, f, gamma):
+    """Best SSR of n0 e + mu phi at a fixed gamma with mu >= 0, by SVD least squares."""
+    e, phi = np.exp(-gamma * t), -np.expm1(-gamma * t) / gamma
+    coef, ssr = _lstsq_ssr([e, phi], f)
+    return ssr if coef[1] >= 0 else _lstsq_ssr([e], f)[1]
+
+
+def _line_ssr(t, f):
+    """The gamma -> 0 limit: the least-squares line, or the mean if it falls."""
+    coef, ssr = _lstsq_ssr([np.ones_like(t), t], f)
+    return ssr if coef[1] >= 0 else float(np.sum((f - f.mean()) ** 2))
+
+
+@st.composite
+def _interior_or_near_linear_series(draw):
+    n = draw(st.integers(5, 30))
+    step = draw(st.sampled_from((1, 2, 5)))
+    t = np.arange(n, dtype=float) * step
+    span = t[-1]
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.3, 4.0)) / span
+        n0 = draw(st.floats(2.0, 20.0))
+        clean = n0 + (n0 * draw(st.floats(0.5, 3.0))) * -np.expm1(-gamma * t)
+    else:
+        slope = draw(st.floats(0.2, 0.6))
+        curve = draw(st.floats(-0.01, 0.01)) * slope / span
+        clean = draw(st.floats(5.0, 10.0)) + slope * t + curve * t**2
+    noise = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(n)])
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    values = clean * (1.0 + draw(st.floats(0.0, 0.01)) * noise) * scale
+    return FleetSeries(1970 + t.astype(int), values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_interior_or_near_linear_series())
+def test_fit_is_never_above_the_grid_or_the_line(data):
+    t = (data.years - data.years[0]).astype(float)
+    f, span = data.fleet, t[-1]
+    try:
+        fit = fit_growth(data)
+    except FitError:
+        # only where the profile still falls at the top of the grid
+        assert _profile_ssr(t, f, 100.0 / span) < _profile_ssr(t, f, 10.0**1.75 / span)
+        return
+    grid = [_profile_ssr(t, f, 10.0 ** (k / 4.0) / span) for k in range(-16, 9)]
+    line = _line_ssr(t, f)
+    slack = _rounding_slack(data, fit.ssr) + 1e-12 * float(f @ f)
+    assert fit.ssr <= min(grid) + slack
+    assert fit.ssr <= line + slack
+    undercut = min(grid) < line - slack
+    if fit.termination == "boundary":
+        assert not undercut
+        assert fit.params.gamma * span == pytest.approx(1e-12)
+        assert fit.ssr == pytest.approx(line, abs=slack)
+    else:
+        assert fit.termination == "interior"
+        # an interior fit either beats a grid rate that undercuts the line,
+        # or found a dip below the first grid rate that the grid misses
+        assert undercut or (fit.ssr < line and fit.params.gamma * span < 1e-4)
 
 
 # ----------------------------------------------------------------- loading

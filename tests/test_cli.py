@@ -462,6 +462,14 @@ def test_sensitivity_subnormal_rates_are_a_model_failure(tmp_path, capsys, flags
     assert not (out / "gradients.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--a", "1e200"), ("--mu_h", "1e300")])
+def test_sensitivity_overflowing_discriminant_is_a_model_failure(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run_cli("sensitivity", *flags, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("model failure: the discriminant overflows a float")
+    assert not (out / "gradients.csv").exists()
+
+
 # ------------------------------------------------------------------ infra
 
 def test_infra_s1_and_s4(tmp_path, capsys):

@@ -78,8 +78,8 @@ GOLDEN = {
         "moderate.csv": "0011e7823be7a931171438da04cb13b9d448dfe4a9196b8f4e3bd2f8221be819",
     },
     "fit": {
-        "<stdout>": "41302d78c110cb2e8e9666b9fbdcb7432e09166525a08acb75e88c8e24654ae1",
-        "fit.csv": "4c9df6954f1aee9e31eb965a980f6f31cbe18e7d57d8d7aaebe001898cf65811",
+        "<stdout>": "830c0de4941e47ba4541f8a52fa35cb30de78d76b19f6fd388e6cf3695e7a30f",
+        "fit.csv": "9ed417bf57b82f4f21c7e039ff04bf6080885d3026fcdaf30d9ca73013372cbb",
     },
     "growth_2020": {
         "<stdout>": "de8593647af31517028eda25ec54635c397b6af029e998b34d0c442b9364cb19",
