@@ -73,30 +73,25 @@ class SensitivityVector:
         return getattr(self, "d_" + param)
 
 
+def _root_discriminant(p: LvmParams) -> float:
+    """sqrt(delta) without forming delta: with A = a mu_h, B = eps mu_c and
+    G = gamma_c gamma_h, delta = (A + B - G)^2 + 4AG, so sqrt(delta) is
+    hypot(A + B - G, 2 sqrt(A) sqrt(G)), which squares nothing."""
+    a_mu, g_g = p.a * p.mu_h, p.gamma_c * p.gamma_h
+    return math.hypot(a_mu + p.epsilon * p.mu_c - g_g, 2.0 * math.sqrt(a_mu) * math.sqrt(g_g))
+
+
 def discriminant(p: LvmParams) -> float:
     """Discriminant of the fixed-point quadratic; a fixed point exists iff it is positive.
 
     With A = a mu_h, B = eps mu_c and G = gamma_c gamma_h,
     delta = A^2 + 2AB + 2AG + B^2 + G^2 - 2BG = (A + B - G)^2 + 4AG,
-    so it is zero only on a boundary of the domain. The six terms are
-    summed exactly with A, B and G scaled by one power of two, which is
-    undone without rounding, so no square overflows or underflows on its
-    own. Raises DegenerateCaseError where delta itself is not a finite float.
+    so it is zero only on a boundary of the domain. It is the square of
+    sqrt(delta) as asymptotic_state takes it, and inf where delta itself
+    is above the float range.
     """
-    a_mu, e_mu, g_g = p.a * p.mu_h, p.epsilon * p.mu_c, p.gamma_c * p.gamma_h
-    largest = max(a_mu, e_mu, g_g)
-    if largest < math.inf:
-        k = -math.frexp(largest)[1]
-        a, b, g = math.ldexp(a_mu, k), math.ldexp(e_mu, k), math.ldexp(g_g, k)
-        d = math.fsum((a * a, 2.0 * a * b, 2.0 * a * g, b * b, g * g, -2.0 * b * g))
-        try:
-            return math.ldexp(d, -2 * k)
-        except OverflowError:
-            pass
-    raise DegenerateCaseError(
-        f"the discriminant overflows a float for a*mu_h = {a_mu:g}, "
-        f"epsilon*mu_c = {e_mu:g}, gamma_c*gamma_h = {g_g:g}"
-    )
+    sq = _root_discriminant(p)
+    return sq * sq  # inf on overflow, where ** 2 would raise
 
 
 def asymptotic_state(p: LvmParams) -> Equilibrium:
@@ -110,17 +105,20 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     gamma_h, the exact identities (s + g)^2 - delta = 4 g eps mu_c and
     delta - (s - g)^2 = 4 g a mu_h turn the differences into quotients of
     positive sums, so the equilibrium is accurate to rounding even when a
-    fleet's asymptote is many orders below the coefficient scale.
+    fleet's asymptote is many orders below the coefficient scale. sqrt(delta)
+    is taken without forming delta, so it stays finite where delta overflows
+    (a = 1e200 gives y_inf = 65 Mveh at the other defaults).
 
     Raises NoFixedPointError where delta <= 0, and DegenerateCaseError
-    where the rates are so small that an asymptote is not a finite float.
+    where the rates are so small or so large that an asymptote is not a
+    finite float.
     """
-    delta = discriminant(p)
+    sq = _root_discriminant(p)
+    delta = sq * sq
     if delta <= 0:
         raise NoFixedPointError(
             f"discriminant {delta} <= 0: the competition model has no fixed point"
         )
-    sq = math.sqrt(delta)
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
     gg = p.gamma_c * p.gamma_h
     # With delta > 0 the other denominators are positive; 2 a gamma_h is

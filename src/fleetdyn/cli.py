@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analytics, calibration, infrastructure, scenarios
+from . import analytics, infrastructure, scenarios
 from .dynamics import (
     RK4_REAL_BOUND,
     FleetState,
@@ -193,6 +193,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import calibration
+
     data = calibration.load_fleet_csv(args.data)
     fit = calibration.fit_growth(data)
 

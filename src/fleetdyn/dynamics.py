@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from math import isfinite
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import IntegrationError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GrowthParams",
@@ -166,6 +167,8 @@ class Trajectory:
     t: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         n_full, remainder = _grid(self.t0, self.dt, self.t_end)
         n = n_full + 1 + (remainder > 0)
         x = np.asarray(self.x, dtype=float)
@@ -205,6 +208,8 @@ class Trajectory:
 
     def sample(self, t: float) -> tuple[float, float]:
         """Linearly interpolated (x, y) at time t; t must be in range."""
+        import numpy as np
+
         if not self.t[0] <= t <= self.t[-1]:
             raise ValidationError(
                 f"time {t} outside trajectory range [{self.t[0]}, {self.t[-1]}]"
@@ -323,7 +328,7 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
                 raise IntegrationError(f"state became non-finite near t={near}")
             xs.append(x)
             ys.append(y)
-    return Trajectory(s0.t, dt, t_end, np.array(xs), np.array(ys))
+    return Trajectory(s0.t, dt, t_end, xs, ys)
 
 
 def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:

@@ -10,11 +10,13 @@ to 2100 at a 0.1-year step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import FleetState, LvmParams, Trajectory, _grid, integrate, modified_system
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ScenarioSpec",
@@ -165,6 +167,8 @@ def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
 def sample_yearly(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integer years inside the trajectory's span, with x and y
     linearly interpolated on the integration grid at those years."""
+    import numpy as np
+
     first = int(np.ceil(traj.t[0] - 1e-9))
     last = int(np.floor(traj.t[-1] + 1e-9))
     years = np.arange(first, last + 1, dtype=float)

@@ -73,8 +73,13 @@ def test_discriminant_finite_where_its_terms_overflow():
     # overflow, but they cancel and delta = 4AG + A^2 is a finite float.
     p = LvmParams(gamma_c=1e100, gamma_h=1e100, a=1e-100, epsilon=1e100, mu_c=1e100, mu_h=1.0)
     assert discriminant(p) == pytest.approx(4e100, rel=1e-12)
-    with pytest.raises(DegenerateCaseError, match="discriminant overflows"):
-        discriminant(LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 0.65))
+    # At a = 1e200 delta itself (about 4.2e399) is above the float range,
+    # yet sqrt(delta) is not, and both asymptotes are finite.
+    p = LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 0.65)
+    assert discriminant(p) == math.inf
+    eq = asymptotic_state(p)
+    assert eq.y_inf == pytest.approx(65.0, rel=1e-12)
+    assert eq.x_inf == pytest.approx(1e-202, rel=1e-12)
 
 
 def test_discriminant_monotone_in_mu_h_and_a():

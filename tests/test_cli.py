@@ -462,12 +462,19 @@ def test_sensitivity_subnormal_rates_are_a_model_failure(tmp_path, capsys, flags
     assert not (out / "gradients.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [("--a", "1e200"), ("--mu_h", "1e300")])
-def test_sensitivity_overflowing_discriminant_is_a_model_failure(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags, y_inf", [
+    (("--a", "1e200"), 65.0),  # x_inf = 1e-202
+    (("--mu_h", "1e300"), 1e302),  # x_inf = 6.5e-301
+], ids=["a", "mu_h"])
+def test_sensitivity_overflowing_discriminant_has_finite_asymptotes(tmp_path, capsys, flags, y_inf):
+    # delta is above the float range, but sqrt(delta) and the asymptotes are not.
     out = tmp_path / "o"
-    assert run_cli("sensitivity", *flags, "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("model failure: the discriminant overflows a float")
-    assert not (out / "gradients.csv").exists()
+    assert run_cli("sensitivity", *flags, "--out", str(out)) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[:4])
+    assert printed["delta    "] == "inf"
+    assert printed["x_inf    "] == "0.000000 Mveh"
+    assert float(printed["y_inf    "].removesuffix(" Mveh")) == pytest.approx(y_inf, rel=1e-12)
+    assert (out / "gradients.csv").exists()
 
 
 # ------------------------------------------------------------------ infra
@@ -568,3 +575,35 @@ def test_python_m_entry_point(tmp_path):
     )
     assert helpres.returncode == 0
     assert "growth" in helpres.stdout and "infra" in helpres.stdout
+
+
+# In a fresh interpreter: run `python -m fleetdyn` with the given arguments,
+# or only `import fleetdyn` without any, and print whether numpy got loaded.
+_STARTUP_PROBE = """\
+import runpy, sys
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("fleetdyn", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    import fleetdyn
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ((), False),
+    (("sensitivity",), False),
+    (("infra", "--id", "S2"), False),
+    (("--help",), False),
+    (("batch",), True),  # builds trajectories: shows that the probe sees a load
+], ids=["import", "sensitivity", "infra", "help", "batch"])
+def test_fresh_process_imports_numpy_only_where_used(tmp_path, argv, loads_numpy):
+    env = dict(os.environ, PYTHONPATH=SRC, FLEETDYN_OUT=str(tmp_path / "o"))
+    result = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads_numpy)

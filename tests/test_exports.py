@@ -2,9 +2,7 @@
 re-exports only names its modules declare public (a module without
 __all__ exports its names without a leading underscore, as import * does)."""
 
-import ast
-import importlib
-from pathlib import Path
+import importlib.util
 
 import pytest
 
@@ -25,10 +23,25 @@ def public_names(module):
 
 
 def test_package_imports_only_public_names():
-    tree = ast.parse(Path(fleetdyn.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert {node.module for node in imports} == set(MODULES) - {"cli"}
-    for node in imports:
-        module = importlib.import_module(f"fleetdyn.{node.module}")
-        private = {alias.name for alias in node.names} - set(public_names(module))
-        assert private == set(), node.module
+    # The package root resolves each name in its table from the module
+    # named there, on first access; __all__ is that table.
+    table = fleetdyn._EXPORTS
+    assert fleetdyn.__all__ == list(table)
+    assert set(table.values()) == set(MODULES) - {"cli"}
+    for name, module_name in table.items():
+        module = importlib.import_module(f"fleetdyn.{module_name}")
+        assert name in public_names(module), (module_name, name)
+        assert getattr(fleetdyn, name) is getattr(module, name), name
+
+
+def test_package_dir_lists_exports_and_unknown_names_raise():
+    # A second execution of the package's __init__, so that no name has
+    # been resolved yet: dir() must list the exports before first access.
+    spec = importlib.util.find_spec("fleetdyn")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert set(fleetdyn.__all__) - set(vars(fresh)) == set(fleetdyn.__all__)
+    assert set(fleetdyn.__all__) <= set(dir(fresh))
+    assert fresh.LvmParams is fleetdyn.LvmParams
+    with pytest.raises(AttributeError, match="module 'fleetdyn' has no attribute 'no_such_name'"):
+        fresh.no_such_name
