@@ -31,8 +31,8 @@ _EXPORTS = {
             "lv_conserved_quantity", "modified_system",
         ),
         "errors": (
-            "DegenerateCaseError", "FitError", "IntegrationError", "ModelError",
-            "NoFixedPointError", "OracleError", "ParseError", "ValidationError",
+            "DegenerateCaseError", "FitError", "IntegrationError", "ModelError", "OracleError",
+            "ParseError", "ValidationError",
         ),
         "infrastructure": (
             "DeploymentPlan", "PetrolEquivalence", "StationSpec", "VehicleSpec", "deployment_plan",

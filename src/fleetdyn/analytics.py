@@ -3,12 +3,12 @@ sensitivities of the competition model.
 
 Setting both rates of change to zero reduces the fixed point to a quadratic
 in each fleet; ``discriminant`` is the quadratic discriminant shared by the
-two closed forms, and a fixed point exists exactly where it is positive.
-Everything else is read off the Jacobian of the rates at that point: its
-trace and determinant separate a node (monotone approach) from a focus
-(damped oscillation), and the implicit function theorem gives the twelve
-analytic gradients of the asymptotes, which are paired with an independent
-central-difference verifier.
+two closed forms. It is never negative: the fixed point always exists.
+Everything else is read off the Jacobian J of the rates there, and needs
+0 < det J < inf: its trace and determinant separate a node (monotone
+approach) from a focus (damped oscillation), and the implicit function
+theorem gives the twelve analytic gradients of the asymptotes, which are
+paired with an independent central-difference verifier.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import LvmParams
-from .errors import DegenerateCaseError, NoFixedPointError, OracleError, ValidationError
+from .errors import DegenerateCaseError, OracleError, ValidationError
 
 __all__ = [
     "Equilibrium",
@@ -82,11 +82,12 @@ def _root_discriminant(p: LvmParams) -> float:
 
 
 def discriminant(p: LvmParams) -> float:
-    """Discriminant of the fixed-point quadratic; a fixed point exists iff it is positive.
+    """Discriminant of the fixed-point quadratic, never negative.
 
     With A = a mu_h, B = eps mu_c and G = gamma_c gamma_h,
     delta = A^2 + 2AB + 2AG + B^2 + G^2 - 2BG = (A + B - G)^2 + 4AG,
-    so it is zero only on a boundary of the domain. It is the square of
+    so it is zero only where A = 0 and B = G, the transcritical point at
+    which the fixed point exists but det J = 0. It is the square of
     sqrt(delta) as asymptotic_state takes it, and inf where delta itself
     is above the float range.
     """
@@ -95,7 +96,7 @@ def discriminant(p: LvmParams) -> float:
 
 
 def asymptotic_state(p: LvmParams) -> Equilibrium:
-    """Closed-form asymptotic fleet sizes for delta > 0.
+    """Closed-form asymptotic fleet sizes (the fixed point exists for every delta >= 0).
 
     x_inf = (a mu_h + eps mu_c + gamma_c gamma_h - sqrt(delta)) / (2 eps gamma_c)
     y_inf = (a mu_h + eps mu_c - gamma_c gamma_h + sqrt(delta)) / (2 a gamma_h)
@@ -107,23 +108,18 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     positive sums, so the equilibrium is accurate to rounding even when a
     fleet's asymptote is many orders below the coefficient scale. sqrt(delta)
     is taken without forming delta, so it stays finite where delta overflows
-    (a = 1e200 gives y_inf = 65 Mveh at the other defaults).
+    (a = 1e200 gives y_inf = 65 Mveh at the other defaults) or underflows.
 
-    Raises NoFixedPointError where delta <= 0, and DegenerateCaseError
-    where the rates are so small or so large that an asymptote is not a
-    finite float.
+    Raises DegenerateCaseError where the rates are so small or so large
+    that an asymptote is not a finite float.
     """
     sq = _root_discriminant(p)
-    delta = sq * sq
-    if delta <= 0:
-        raise NoFixedPointError(
-            f"discriminant {delta} <= 0: the competition model has no fixed point"
-        )
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
     gg = p.gamma_c * p.gamma_h
-    # With delta > 0 the other denominators are positive; 2 a gamma_h is
-    # zero where the product underflows.
-    x_inf = 2.0 * p.gamma_h * p.mu_c / (coupling + gg + sq)
+    # sq >= |coupling - gg| keeps y's second denominator positive; the
+    # other two are zero only where every product in them underflows.
+    x_den = coupling + gg + sq
+    x_inf = 2.0 * p.gamma_h * p.mu_c / x_den if x_den else math.inf
     if coupling >= gg:
         y_den = 2.0 * p.a * p.gamma_h
         y_inf = (coupling - gg + sq) / y_den if y_den else math.inf
@@ -132,7 +128,7 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     if not (math.isfinite(x_inf) and math.isfinite(y_inf)):
         raise DegenerateCaseError(f"no finite competition equilibrium for a = {p.a}, "
                                   f"epsilon = {p.epsilon}, gamma_h = {p.gamma_h}")
-    return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=delta)
+    return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)
 
 
 def _linearise(p: LvmParams):
@@ -141,7 +137,8 @@ def _linearise(p: LvmParams):
     J = [[-gamma_c - a y*, -a x*], [eps y*, eps x* - gamma_h]]. Where y* > 0
     the fixed-point condition turns J22 into -mu_h / y*, free of the
     cancellation in eps x* - gamma_h, so det = J11 J22 + a eps x* y* is a
-    sum of positive terms. Raises NoFixedPointError where delta <= 0.
+    sum of positive terms. Raises DegenerateCaseError unless 0 < det < inf;
+    det = 0 at the transcritical point, where the fixed point is not hyperbolic.
     """
     eq = asymptotic_state(p)
     x, y = eq.x_inf, eq.y_inf
@@ -149,16 +146,19 @@ def _linearise(p: LvmParams):
     j12 = -p.a * x
     j21 = p.epsilon * y
     j22 = -p.mu_h / y if y > 0 else p.epsilon * x - p.gamma_h
-    return eq, (j11, j12), (j21, j22), j11 * j22 - j12 * j21
+    det = j11 * j22 - j12 * j21
+    if not 0 < det < math.inf:
+        raise DegenerateCaseError(f"det J = {det} at the fixed point ({x}, {y}), not in (0, inf)")
+    return eq, (j11, j12), (j21, j22), det
 
 
 def classify_stability(p: LvmParams) -> StabilityClass:
     """Node or focus, from the trace and determinant of the Jacobian.
 
     The trace is negative and the determinant positive, so the fixed point
-    is always stable: a node (monotone approach) when tr^2 >= 4 det, a
-    focus (damped oscillation) otherwise. Raises NoFixedPointError where
-    delta <= 0.
+    is stable: a node (monotone approach) when tr^2 >= 4 det, a focus
+    (damped oscillation) otherwise. Raises DegenerateCaseError where det J
+    is not a positive finite float.
     """
     _, (j11, _), (_, j22), det = _linearise(p)
     trace = j11 + j22
@@ -173,10 +173,14 @@ def _gradient(eq: Equilibrium, r1: float, r2: float) -> SensitivityVector:
     By the implicit function theorem d(x*, y*)/dp = -J^-1 dF/dp, and for
     every parameter dF/dp has a single nonzero entry: mu_h (0, 1), mu_c
     (1, 0), epsilon (0, x* y*), a (-x* y*, 0), gamma_h (0, -y*), gamma_c
-    (-x*, 0). Each component is then one product, with no subtraction.
+    (-x*, 0). Each component is then one product, with no subtraction; a
+    non-finite one raises DegenerateCaseError.
     """
     x, y = eq.x_inf, eq.y_inf
-    return SensitivityVector(r2, r1, r2 * x * y, -r1 * x * y, -r2 * y, -r1 * x)
+    grad = (r2, r1, r2 * x * y, -r1 * x * y, -r2 * y, -r1 * x)
+    if not all(map(math.isfinite, grad)):
+        raise DegenerateCaseError(f"a gradient at the fixed point ({x}, {y}) is not finite")
+    return SensitivityVector(*grad)
 
 
 def sensitivity_hydrogen(p: LvmParams) -> SensitivityVector:
@@ -211,10 +215,9 @@ def finite_difference_sensitivity(
         try:
             plus = asymptotic_state(LvmParams(**{**base, name: base[name] + h}))
             minus = asymptotic_state(LvmParams(**{**base, name: base[name] - h}))
-        except (NoFixedPointError, ValidationError) as exc:
+        except ValidationError as exc:
             raise OracleError(
-                f"perturbing {name} by {h} leaves the region with a fixed point: {exc}"
-            ) from exc
+                f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc
         grads_h["d_" + name] = (plus.y_inf - minus.y_inf) / (2.0 * h)
         grads_c["d_" + name] = (plus.x_inf - minus.x_inf) / (2.0 * h)
     return SensitivityVector(**grads_h), SensitivityVector(**grads_c)

@@ -23,11 +23,8 @@ class IntegrationError(ModelError):
 
 
 class DegenerateCaseError(ModelError):
-    """Computation requested at a degenerate parameter point (e.g. a zero coupling or rate)."""
-
-
-class NoFixedPointError(ModelError):
-    """The competition model has no fixed point (discriminant not positive)."""
+    """No finite answer at this parameter point: an equilibrium, det J or a
+    gradient is outside the float range, or det J = 0 (non-hyperbolic)."""
 
 
 class OracleError(ModelError):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_lvm_params
@@ -16,7 +16,6 @@ from fleetdyn import (
     DegenerateCaseError,
     FleetState,
     LvmParams,
-    NoFixedPointError,
     OracleError,
     StabilityClass,
     ValidationError,
@@ -112,13 +111,16 @@ def test_classify_stability_monotone_for_scenarios(tab_grad_params):
         assert classify_stability(p) is StabilityClass.MONOTONE_EQUILIBRIUM
 
 
+# eps*mu_c == gamma_c*gamma_h with mu_h = 0 sits exactly on delta = 0, the
+# transcritical point: the fixed point (gamma_h/eps, 0) exists, det J = 0.
+# Dyadic values keep the float evaluation exact too.
+TRANSCRITICAL = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=0.5, mu_h=0.0)
+
+
 def test_degenerate_discriminant_raises():
-    # eps*mu_c == gamma_c*gamma_h with mu_h = 0 sits exactly on delta = 0;
-    # dyadic values keep the float evaluation exactly zero too.
-    p = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=0.5, mu_h=0.0)
-    assert discriminant(p) == 0.0
-    with pytest.raises(NoFixedPointError):
-        classify_stability(p)
+    assert discriminant(TRANSCRITICAL) == 0.0
+    with pytest.raises(DegenerateCaseError, match=r"det J = 0\.0"):
+        classify_stability(TRANSCRITICAL)
 
 
 def fd_jacobian(p):
@@ -236,9 +238,8 @@ def test_asymptotic_state_zero_sources_is_origin():
 
 
 def test_asymptotic_state_errors():
-    p = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=0.5, mu_h=0.0)
-    with pytest.raises(NoFixedPointError):
-        asymptotic_state(p)  # delta == 0 here
+    eq = asymptotic_state(TRANSCRITICAL)  # delta == 0 here, and the fixed point exists
+    assert (eq.x_inf, eq.y_inf, eq.delta) == (2.0, 0.0, 0.0)
     degenerate = SimpleNamespace(
         gamma_c=0.01, gamma_h=0.01, a=0.0, epsilon=0.01, mu_c=0.5, mu_h=0.5
     )
@@ -345,11 +346,47 @@ def test_supply_chain_signs_hold_across_samples():
 
 
 def test_gradients_require_fixed_point():
-    p = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=0.5, mu_h=0.0)
-    with pytest.raises(NoFixedPointError):
-        sensitivity_hydrogen(p)
-    with pytest.raises(NoFixedPointError):
-        sensitivity_conventional(p)
+    # a hyperbolic one: at the transcritical point the fixed point exists, but det J = 0
+    with pytest.raises(DegenerateCaseError, match=r"det J = 0\.0"):
+        sensitivity_hydrogen(TRANSCRITICAL)
+    with pytest.raises(DegenerateCaseError, match=r"det J = 0\.0"):
+        sensitivity_conventional(TRANSCRITICAL)
+
+
+# Rates log-uniform over the float range, sources too or exactly zero.
+anywhere = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+anywhere_or_zero = st.one_of(st.just(0.0), anywhere)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.builds(LvmParams, anywhere, anywhere, anywhere, anywhere,
+                 anywhere_or_zero, anywhere_or_zero))
+@example(TRANSCRITICAL)
+@example(LvmParams(1e-90, 1e-90, 1.0, 1.0, 1e-170, 0.0))  # delta underflows to 0
+@example(LvmParams(0.01, 1e-162, 1e200, 1e162, 1e-20, 0.0))  # det J = 0 by underflow
+@example(LvmParams(0.01, 1e-200, 1e200, 1e200, 0.65, 0.0))  # det J = inf * 0
+@example(LvmParams(1e-200, 1e-200, 0.01, 0.01, 0.0, 0.0))  # every product underflows
+def test_finite_fixed_point_and_signed_gradients_or_refusal(p):
+    # Each function returns finite values, with x*, y* >= 0 and the signs
+    # that J11 < 0 and det J > 0 force on the gradients, or refuses.
+    def returned(f):
+        try:
+            return f(p)
+        except DegenerateCaseError:
+            return None
+
+    eq = returned(asymptotic_state)
+    if eq is not None:
+        assert math.isfinite(eq.x_inf) and eq.x_inf >= 0
+        assert math.isfinite(eq.y_inf) and eq.y_inf >= 0
+    returned(classify_stability)
+    h, c = returned(sensitivity_hydrogen), returned(sensitivity_conventional)
+    for grad in (g for g in (h, c) if g is not None):
+        assert all(math.isfinite(grad[name]) for name in PARAM_NAMES)
+    if h is not None:
+        assert h.d_mu_h >= 0
+    if c is not None:
+        assert c.d_mu_c >= 0 and c.d_mu_h <= 0
 
 
 # --------------------------------------------------------- finite differences
@@ -372,8 +409,8 @@ def test_fd_error_decreases_quadratically(tab_grad_params):
 
 def test_fd_rejects_invalid_step_and_invalid_region():
     p = LvmParams(gamma_c=0.1, gamma_h=0.1, a=0.05, epsilon=0.0100001, mu_c=1.0, mu_h=0.0)
-    # delta > 0 but within h of the delta = 0 surface: oracle must refuse
-    with pytest.raises(OracleError):
+    # mu_h = 0, so the step mu_h - h leaves the parameter domain: the oracle must refuse
+    with pytest.raises(OracleError, match="perturbing mu_h by 1e-10 leaves the parameter domain"):
         finite_difference_sensitivity(p, 1e-2)
     with pytest.raises(ValidationError):
         finite_difference_sensitivity(p, -1e-6)

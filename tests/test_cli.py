@@ -442,13 +442,35 @@ def test_sensitivity_zero_sources_valid(tmp_path, capsys):
     assert "y_inf     = 0.000000 Mveh" in printed
 
 
-def test_sensitivity_degenerate_point_exits_1(tmp_path):
-    # exactly on the zero-discriminant surface: no fixed point to report
-    code = run_cli(
-        "sensitivity", "--mu_h", "0", "--mu_c", "0.5", "--epsilon", "0.25",
-        "--gamma_c", "0.25", "--gamma_h", "0.5", "--a", "0.05", "--out", str(tmp_path),
-    )
-    assert code == 1
+def test_sensitivity_degenerate_point_exits_1(tmp_path, capsys):
+    for i, flags in enumerate([
+        # the transcritical point on delta = 0: the fixed point (2, 0) exists, but det J = 0
+        ("--mu_h", "0", "--mu_c", "0.5", "--epsilon", "0.25", "--gamma_c", "0.25",
+         "--gamma_h", "0.5", "--a", "0.05"),
+        # x* underflows to 0 and J22 = -mu_h / y* = -0, so det J = 0
+        ("--gamma_h", "1e-162", "--epsilon", "1e162", "--mu_c", "1e-20", "--mu_h", "0",
+         "--a", "1e200"),
+        # J11 = -gamma_c - a y* overflows, so det J = inf * 0 = nan
+        ("--mu_h", "0", "--gamma_h", "1e-200", "--epsilon", "1e200", "--a", "1e200"),
+    ]):
+        out = tmp_path / str(i)
+        assert run_cli("sensitivity", *flags, "--out", str(out)) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith("model failure: det J = ") and "not in (0, inf)" in err, flags
+        assert not (out / "gradients.csv").exists()
+
+
+def test_sensitivity_underflowing_discriminant_has_a_fixed_point(tmp_path, capsys):
+    # delta = 1e-340 underflows to 0, yet x* = 1e-90, y* = 1e-80 and
+    # det J = a eps x* y* = 1e-170 are floats.
+    out = tmp_path / "o"
+    assert run_cli(
+        "sensitivity", "--gamma_c", "1e-90", "--gamma_h", "1e-90", "--a", "1", "--epsilon", "1",
+        "--mu_c", "1e-170", "--mu_h", "0", "--out", str(out),
+    ) == 0
+    assert capsys.readouterr().out.startswith("delta     = 0.000000e+00\n")
+    _, rows = read_rows(out / "gradients.csv")
+    assert float(rows[0][1]) == pytest.approx(1e90, rel=1e-9)  # d y*/d mu_h = -J11 / det J
 
 
 @pytest.mark.parametrize("flags", [

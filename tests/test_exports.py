@@ -1,12 +1,16 @@
 """Public names: every module's __all__ resolves, and the package root
 re-exports only names its modules declare public (a module without
-__all__ exports its names without a leading underscore, as import * does)."""
+__all__ exports its names without a leading underscore, as import * does),
+and no error class outlives the code that raises it."""
 
+import ast
 import importlib.util
+from pathlib import Path
 
 import pytest
 
 import fleetdyn
+from fleetdyn import errors
 
 MODULES = ["analytics", "calibration", "cli", "dynamics", "errors", "infrastructure", "scenarios"]
 
@@ -45,3 +49,20 @@ def test_package_dir_lists_exports_and_unknown_names_raise():
     assert fresh.LvmParams is fleetdyn.LvmParams
     with pytest.raises(AttributeError, match="module 'fleetdyn' has no attribute 'no_such_name'"):
         fresh.no_such_name
+
+
+def test_every_error_class_has_a_raiser():
+    # An error class that nothing raises is dead surface; ModelError is
+    # the base the CLI catches, and is raised only through its subclasses.
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    }
+    raised = set()
+    for path in Path(fleetdyn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert classes - {"ModelError"} - raised == set()
