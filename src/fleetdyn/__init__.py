@@ -3,8 +3,8 @@ vehicle transition, with calibration, sensitivity analysis and hydrogen
 refuelling-infrastructure planning.
 
 The public names below are imported from their submodules on first
-access, so `import fleetdyn` loads no numpy: only the modules that build
-trajectories or fit data import it, when they use it.
+access, so `import fleetdyn` loads no numpy: only `calibration`, which
+fits data with arrays, imports it.
 """
 
 from importlib import import_module

@@ -111,7 +111,8 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     (a = 1e200 gives y_inf = 65 Mveh at the other defaults) or underflows.
 
     Raises DegenerateCaseError where the rates are so small or so large
-    that an asymptote is not a finite float.
+    that an asymptote is not a finite float, or where an overflowed
+    denominator would round to 0 an asymptote that a positive source keeps positive.
     """
     sq = _root_discriminant(p)
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
@@ -124,8 +125,10 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
         y_den = 2.0 * p.a * p.gamma_h
         y_inf = (coupling - gg + sq) / y_den if y_den else math.inf
     else:
-        y_inf = 2.0 * p.gamma_c * p.mu_h / (sq + gg - coupling)
-    if not (math.isfinite(x_inf) and math.isfinite(y_inf)):
+        y_den = sq + gg - coupling
+        y_inf = 2.0 * p.gamma_c * p.mu_h / y_den
+    if (not (math.isfinite(x_inf) and math.isfinite(y_inf))
+            or x_den == math.inf and p.mu_c > 0 or y_den == math.inf and p.mu_h > 0):
         raise DegenerateCaseError(f"no finite competition equilibrium for a = {p.a}, "
                                   f"epsilon = {p.epsilon}, gamma_h = {p.gamma_h}")
     return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)

@@ -136,15 +136,13 @@ def cmd_growth(args) -> int:
         )
     traj = integrate(growth_system(params), initial, args.t1, args.dt)
 
-    years, fleet, _ = scenarios.sample_yearly(traj)
-    outdir = _outdir(args)
-    path = outdir / "growth.csv"
+    path = _outdir(args) / "growth.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("year,fleet_mveh\n")
-        for year, x in zip(years.tolist(), fleet.tolist()):
+        for year, x, _ in scenarios.sample_yearly(traj):
             fh.write(f"{year:.0f},{x:.6f}\n")
     print(f"wrote {path}")
-    print(f"fleet at {traj.t[-1]:.1f}: {traj.final.x:.6f} Mveh")
+    print(f"fleet at {traj.t_end:.1f}: {traj.final.x:.6f} Mveh")
     return 0
 
 

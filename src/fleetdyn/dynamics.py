@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import math
 from math import isfinite
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .errors import IntegrationError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GrowthParams",
@@ -154,67 +151,75 @@ class Trajectory:
     """Fleet sizes x, y on the uniform time grid from t0 to t_end with step dt.
 
     The final step is shortened when (t_end - t0) is not a whole number of
-    steps. The grid times t are derived at construction: t0 + i*dt, with
-    the last one t_end exactly. x and y must have one sample per grid time.
-    Arrays are read-only.
+    steps. x and y are tuples of floats, one sample per grid time; the grid
+    times t are derived on access, t0 + i*dt with the last one t_end exactly.
     """
 
     t0: float
     dt: float
     t_end: float
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray = field(init=False)
+    x: tuple[float, ...]
+    y: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
         n_full, remainder = _grid(self.t0, self.dt, self.t_end)
         n = n_full + 1 + (remainder > 0)
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if not x.shape == y.shape == (n,):
-            raise ValidationError(
-                f"x and y must be 1-d arrays of {n} samples, one per grid time "
-                f"from {self.t0} to {self.t_end} with step {self.dt}; "
-                f"got shapes {x.shape} and {y.shape}"
-            )
-        t = self.t0 + np.arange(n) * self.dt
-        t[-1] = self.t_end
-        for arr in (t, x, y):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        want = (f"x and y must be 1-d sequences of {n} samples, one per grid time "
+                f"from {self.t0} to {self.t_end} with step {self.dt}")
+        try:
+            x, y = tuple(map(float, self.x)), tuple(map(float, self.y))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{want}: {exc}") from exc
+        if not len(x) == len(y) == n:
+            raise ValidationError(f"{want}; got {len(x)} and {len(y)}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.x)
 
     def __iter__(self) -> Iterator[FleetState]:
-        for i in range(len(self.t)):
-            yield FleetState(float(self.t[i]), float(self.x[i]), float(self.y[i]))
+        return map(FleetState, self.t, self.x, self.y)
+
+    @property
+    def t(self) -> tuple[float, ...]:
+        return (*(self.t0 + i * self.dt for i in range(len(self.x) - 1)), self.t_end)
 
     @property
     def step(self) -> float:
-        return float(self.t[1] - self.t[0])
+        return (self.t0 + self.dt if len(self.x) > 2 else self.t_end) - self.t0
 
     @property
     def final(self) -> FleetState:
-        return FleetState(float(self.t[-1]), float(self.x[-1]), float(self.y[-1]))
+        return FleetState(self.t_end, self.x[-1], self.y[-1])
 
     @property
-    def total(self) -> np.ndarray:
-        return self.x + self.y
+    def total(self) -> tuple[float, ...]:
+        return tuple(x + y for x, y in zip(self.x, self.y))
 
     def sample(self, t: float) -> tuple[float, float]:
-        """Linearly interpolated (x, y) at time t; t must be in range."""
-        import numpy as np
-
-        if not self.t[0] <= t <= self.t[-1]:
-            raise ValidationError(
-                f"time {t} outside trajectory range [{self.t[0]}, {self.t[-1]}]"
-            )
-        return float(np.interp(t, self.t, self.x)), float(np.interp(t, self.t, self.y))
+        """(x, y) at t in range: np.interp's value, bit for bit where x and y are finite."""
+        t0, dt, t_end, xs, ys = self.t0, self.dt, self.t_end, self.x, self.y
+        if not t0 <= t <= t_end:
+            raise ValidationError(f"time {t} outside trajectory range [{t0}, {t_end}]")
+        if t == t_end:
+            return xs[-1], ys[-1]
+        # the cell t_j <= t < t_k, k = j + 1; the quotient misses it where t0 + j*dt rounds
+        last = len(xs) - 1
+        j = min(int((t - t0) / dt), last - 1)
+        tj = t0 + j * dt
+        while t < tj:
+            j -= 1
+            tj = t0 + j * dt
+        k = j + 1
+        tk = t0 + k * dt if k < last else t_end
+        while tk <= t:
+            j, tj, k = k, tk, k + 1
+            tk = t0 + k * dt if k < last else t_end
+        if t == tj:
+            return xs[j], ys[j]
+        x, y, span = xs[j], ys[j], tk - tj
+        return (xs[k] - x) / span * (t - tj) + x, (ys[k] - y) / span * (t - tj) + y
 
 
 class Field(NamedTuple):

@@ -9,14 +9,11 @@ to 2100 at a 0.1-year step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .dynamics import FleetState, LvmParams, Trajectory, _grid, integrate, modified_system
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ScenarioSpec",
@@ -155,24 +152,21 @@ def compare_targets(traj: Trajectory, checks: list[TargetCheck]) -> list[TargetC
 def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
     """Hydrogen fleet growth rate (Mveh/year) by centred difference over one step."""
     dt = traj.step
-    if not (traj.t[0] + dt <= year <= traj.t[-1] - dt):
-        raise ValidationError(
-            f"year {year} must be at least one step inside [{traj.t[0]}, {traj.t[-1]}]"
-        )
+    if not (traj.t0 + dt <= year <= traj.t_end - dt):
+        raise ValidationError(f"year {year} must be at least one step "
+                              f"inside [{traj.t0}, {traj.t_end}]")
     _, y_plus = traj.sample(year + dt)
     _, y_minus = traj.sample(year - dt)
     return (y_plus - y_minus) / (2.0 * dt)
 
 
-def sample_yearly(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integer years inside the trajectory's span, with x and y
-    linearly interpolated on the integration grid at those years."""
-    import numpy as np
-
-    first = int(np.ceil(traj.t[0] - 1e-9))
-    last = int(np.floor(traj.t[-1] + 1e-9))
-    years = np.arange(first, last + 1, dtype=float)
-    return years, np.interp(years, traj.t, traj.x), np.interp(years, traj.t, traj.y)
+def sample_yearly(traj: Trajectory) -> list[tuple[float, float, float]]:
+    """(year, x, y) at the integer years inside the trajectory's span, x and
+    y linearly interpolated on the integration grid at those years."""
+    t0, t_end = traj.t0, traj.t_end
+    years = map(float, range(math.ceil(t0 - 1e-9), math.floor(t_end + 1e-9) + 1))
+    # a year within 1e-9 outside the span takes the nearest end sample, as np.interp would
+    return [(t,) + traj.sample(t0 if t < t0 else t_end if t > t_end else t) for t in years]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -180,5 +174,5 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     one per integer year (sample_yearly), as in the published figures."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\n")
-        for t, x, y in zip(*(c.tolist() for c in sample_yearly(traj))):
+        for t, x, y in sample_yearly(traj):
             fh.write(f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n")

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from fleetdyn import ClassicalLvmParams, LvmParams
+from fleetdyn import ClassicalLvmParams, LvmParams, Trajectory, ValidationError
+from fleetdyn.dynamics import _grid
 
 
 @pytest.fixture
@@ -26,3 +31,37 @@ def random_lvm_params(rng: np.random.Generator) -> LvmParams:
         mu_c=rng.uniform(0.01, 1.0),
         mu_h=rng.uniform(0.01, 1.0),
     )
+
+
+@st.composite
+def random_trajectories(draw) -> Trajectory:
+    """Random finite samples on a random grid: a whole or shortened last
+    step, dt from within 4x of the time resolution up to years, and ends
+    on, next to or between whole years."""
+    t0 = draw(st.integers(-3000, 3000)) + draw(
+        st.sampled_from([0.0, 1e-10, -1e-10]) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        dt = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]) | st.floats(1e-3, 5.0))
+    else:  # the resolution is two float spacings of the times
+        dt = 2 * math.ulp(abs(t0)) * draw(st.floats(1.0, 4.0))
+    steps = draw(st.integers(0, 40)) + draw(st.just(0.0) | st.floats(0.0, 1.0))
+    t_end = t0 + steps * dt
+    try:
+        n_full, remainder = _grid(t0, dt, t_end)
+    except ValidationError:
+        assume(False)
+    samples = st.lists(st.floats(-1e300, 1e300), min_size=n_full + 1 + (remainder > 0),
+                       max_size=n_full + 1 + (remainder > 0))
+    return Trajectory(t0, dt, t_end, draw(samples), draw(samples))
+
+
+def numpy_grid(traj: Trajectory) -> np.ndarray:
+    """The grid times as an array, built as t0 + i*dt with the last one t_end."""
+    t = traj.t0 + np.arange(len(traj)) * traj.dt
+    t[-1] = traj.t_end
+    return t
+
+
+def bits(values) -> list[str]:
+    """Each float's exact bits, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]

@@ -82,7 +82,7 @@ def test_criterion_3_collapse_identity():
         traj = fd.integrate(fd.modified_system(p), fd.FleetState(0.0, x0, y0), 100.0, 0.1)
         gp = fd.GrowthParams(gamma, mu_c + mu_h)
         exact = np.array([fd.growth_closed_form(gp, x0 + y0, t) for t in traj.t])
-        worst = max(worst, float(np.max(np.abs(traj.total - exact) / np.abs(exact))))
+        worst = max(worst, float(np.max(np.abs(np.asarray(traj.total) - exact) / np.abs(exact))))
     if worst >= 1e-8:
         failures.append(f"worst relative deviation {worst:.3e} >= 1e-8")
     report(3, "collapse identity", failures)
@@ -137,18 +137,12 @@ def test_criterion_5_gradient_correctness(tab_grad_params):
     if worst >= 1e-6:
         failures.append(f"published-parameter gradients mismatch {worst:.3e} >= 1e-6")
 
+    # Every draw has rates >= 1e-3 and sources >= 0.01, so no step of
+    # 1e-5 relative leaves the parameter domain.
     rng = np.random.default_rng(7)
-    checked = 0
     worst_random = 0.0
-    while checked < 100:
-        p = random_lvm_params(rng)
-        if fd.discriminant(p) <= 0:
-            continue
-        try:
-            worst_random = max(worst_random, _gradient_mismatch(p))
-        except fd.OracleError:
-            continue  # finite differences invalid next to the delta = 0 surface
-        checked += 1
+    for _ in range(100):
+        worst_random = max(worst_random, _gradient_mismatch(random_lvm_params(rng)))
     if worst_random >= 1e-6:
         failures.append(f"random-sample gradients mismatch {worst_random:.3e} >= 1e-6")
 

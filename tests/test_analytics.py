@@ -159,7 +159,7 @@ def test_focus_exactly_when_eigenvalues_are_complex(p):
 def sign_changes_of_x_deviation(p):
     """How often x - x* changes sign over 1500 years from the 2020 UK state."""
     traj = integrate(modified_system(p), FleetState(0.0, 28.95, 0.0), 1500.0, 0.5)
-    signs = np.sign(traj.x - asymptotic_state(p).x_inf)
+    signs = np.sign(np.asarray(traj.x) - asymptotic_state(p).x_inf)
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -189,13 +189,9 @@ def test_asymptotic_state_published_values(tab_grad_params):
 def test_asymptotic_state_matches_printed_formulas():
     # The stable evaluation must agree with the direct transcription.
     rng = np.random.default_rng(8)
-    checked = 0
-    while checked < 100:
+    for _ in range(100):
         p = random_lvm_params(rng)
-        delta = discriminant(p)
-        if delta <= 0:
-            continue
-        sq = math.sqrt(delta)
+        sq = math.sqrt(discriminant(p))
         num_x = p.a * p.mu_h + p.epsilon * p.mu_c + p.gamma_c * p.gamma_h - sq
         num_y = p.a * p.mu_h + p.epsilon * p.mu_c - p.gamma_c * p.gamma_h + sq
         direct_x = num_x / (2 * p.epsilon * p.gamma_c)
@@ -207,7 +203,6 @@ def test_asymptotic_state_matches_printed_formulas():
         tol_y = max(1e-9, 1e-12 * scale / max(num_y, 1e-300))
         assert eq.x_inf == pytest.approx(direct_x, rel=tol_x, abs=1e-300)
         assert eq.y_inf == pytest.approx(direct_y, rel=tol_y, abs=1e-300)
-        checked += 1
 
 
 def test_asymptotic_state_against_long_integration(tab_grad_params):
@@ -235,6 +230,20 @@ def test_asymptotic_state_zero_sources_is_origin():
     eq = asymptotic_state(p)
     assert eq.x_inf == 0.0
     assert eq.y_inf == 0.0
+
+
+@pytest.mark.parametrize("p", [
+    LvmParams(1e160, 1e160, 0.01, 0.01, 1.0, 1.0),  # gamma_c*gamma_h: x*, y* ~ 1e-160
+    LvmParams(1e160, 1e160, 0.01, 0.01, 1.0, 0.0),  # the same for x* alone
+    LvmParams(0.01, 1e10, 1e300, 0.01, 0.65, 1.0),  # 2*a*gamma_h: y* ~ 1e-10
+], ids=["both", "x", "y"])
+def test_overflowed_denominator_refuses_instead_of_zeroing(p):
+    # A positive source keeps its asymptote positive, so an overflowed
+    # denominator that would zero it is refused; without sources (0, 0) is exact.
+    with pytest.raises(DegenerateCaseError, match="no finite competition equilibrium"):
+        asymptotic_state(p)
+    eq = asymptotic_state(LvmParams(p.gamma_c, p.gamma_h, p.a, p.epsilon, 0.0, 0.0))
+    assert (eq.x_inf, eq.y_inf) == (0.0, 0.0)
 
 
 def test_asymptotic_state_errors():
@@ -329,12 +338,8 @@ def test_gradient_signs_published_pattern(tab_grad_params):
 
 def test_supply_chain_signs_hold_across_samples():
     rng = np.random.default_rng(10)
-    checked = 0
-    while checked < 100:
+    for _ in range(100):
         p = random_lvm_params(rng)
-        if discriminant(p) <= 0:
-            continue
-        checked += 1
         h = sensitivity_hydrogen(p)
         c = sensitivity_conventional(p)
         assert h.d_mu_h > 0
@@ -366,6 +371,7 @@ anywhere_or_zero = st.one_of(st.just(0.0), anywhere)
 @example(LvmParams(0.01, 1e-162, 1e200, 1e162, 1e-20, 0.0))  # det J = 0 by underflow
 @example(LvmParams(0.01, 1e-200, 1e200, 1e200, 0.65, 0.0))  # det J = inf * 0
 @example(LvmParams(1e-200, 1e-200, 0.01, 0.01, 0.0, 0.0))  # every product underflows
+@example(LvmParams(1e160, 1e160, 0.01, 0.01, 1.0, 1.0))  # gamma_c*gamma_h overflows
 def test_finite_fixed_point_and_signed_gradients_or_refusal(p):
     # Each function returns finite values, with x*, y* >= 0 and the signs
     # that J11 < 0 and det J > 0 force on the gradients, or refuses.

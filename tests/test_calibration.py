@@ -164,7 +164,8 @@ def test_mean_error_invariances():
     # reordering cannot happen inside FleetSeries (sorted years), but a
     # common rescaling of both sides must leave the metric unchanged
     scaled_data = FleetSeries(data.years, data.fleet * 3.0)
-    scaled_traj = Trajectory(traj.t0, traj.dt, traj.t_end, traj.x * 3.0, traj.y * 3.0)
+    scaled_traj = Trajectory(traj.t0, traj.dt, traj.t_end,
+                             np.asarray(traj.x) * 3.0, np.asarray(traj.y) * 3.0)
     m2, s2 = mean_error(scaled_data, scaled_traj)
     assert m2 == pytest.approx(m, rel=1e-12)
     assert s2 == pytest.approx(s, rel=1e-12)

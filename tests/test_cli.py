@@ -18,6 +18,7 @@ from fleetdyn import (
 from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+UK_CSV = str(Path(SRC) / "fleetdyn" / "data" / "uk_fleet_rac.csv")
 
 
 def run_cli(*argv):
@@ -484,6 +485,16 @@ def test_sensitivity_subnormal_rates_are_a_model_failure(tmp_path, capsys, flags
     assert not (out / "gradients.csv").exists()
 
 
+def test_sensitivity_overflowed_rate_product_is_a_model_failure(tmp_path, capsys):
+    # gamma_c*gamma_h overflows and would zero both asymptotes, which are
+    # about 1e-160, and then name det J = inf at the wrong fixed point (0, 0)
+    out = tmp_path / "o"
+    assert run_cli("sensitivity", "--gamma_c", "1e160", "--gamma_h", "1e160",
+                   "--mu_c", "1", "--mu_h", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("model failure: no finite competition equilibrium")
+    assert not (out / "gradients.csv").exists()
+
+
 @pytest.mark.parametrize("flags, y_inf", [
     (("--a", "1e200"), 65.0),  # x_inf = 1e-202
     (("--mu_h", "1e300"), 1e302),  # x_inf = 6.5e-301
@@ -619,8 +630,12 @@ print("numpy" in sys.modules)
     (("sensitivity",), False),
     (("infra", "--id", "S2"), False),
     (("--help",), False),
-    (("batch",), True),  # builds trajectories: shows that the probe sees a load
-], ids=["import", "sensitivity", "infra", "help", "batch"])
+    (("batch",), False),
+    (("scenario", "--name", "moderate"), False),
+    (("growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38", "--t0", "1960", "--t1", "2020"),
+     False),
+    (("fit", "--data", UK_CSV), True),  # fits with arrays: shows that the probe sees a load
+], ids=["import", "sensitivity", "infra", "help", "batch", "scenario", "growth", "fit"])
 def test_fresh_process_imports_numpy_only_where_used(tmp_path, argv, loads_numpy):
     env = dict(os.environ, PYTHONPATH=SRC, FLEETDYN_OUT=str(tmp_path / "o"))
     result = subprocess.run(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import bits, numpy_grid, random_trajectories
 from fleetdyn import (
     FleetState,
     GrowthParams,
@@ -84,7 +86,7 @@ def test_run_scenario_symmetric_total_collapses_to_growth():
     traj = run_scenario(spec)
     gp = GrowthParams(0.02, 0.8)
     exact = np.array([growth_closed_form(gp, 26.0, t - 2020.0) for t in traj.t])
-    assert np.max(np.abs(traj.total - exact) / exact) < 1e-8
+    assert np.max(np.abs(np.asarray(traj.total) - exact) / exact) < 1e-8
 
 
 def test_moderate_hydrogen_overtakes_initial_conventional(trajectories):
@@ -119,7 +121,7 @@ def test_share_ordering_and_bounds(trajectories):
     shares = {n: zev_share(trajectories[n], 2050.0) for n in BUILTIN_SCENARIO_NAMES}
     assert shares["low"] < shares["moderate"] < shares["aggressive"]
     for traj in trajectories.values():
-        s = traj.y / traj.total
+        s = np.asarray(traj.y) / np.asarray(traj.total)
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
 
@@ -127,9 +129,10 @@ def test_total_fleet_bounds_and_nonnegativity(trajectories):
     for name, traj in trajectories.items():
         spec = builtin_scenario(name)
         cap = (spec.params.mu_c + spec.params.mu_h) / spec.params.gamma_c
-        assert traj.total.min() >= 28.95 - 1e-9
-        assert traj.total.max() <= cap + 1e-9
-        assert traj.x.min() >= 0.0 and traj.y.min() >= 0.0
+        total, x, y = np.asarray(traj.total), np.asarray(traj.x), np.asarray(traj.y)
+        assert total.min() >= 28.95 - 1e-9
+        assert total.max() <= cap + 1e-9
+        assert x.min() >= 0.0 and y.min() >= 0.0
 
 
 @pytest.mark.parametrize("name, x, y", [
@@ -238,7 +241,16 @@ def test_sample_yearly_matches_pointwise_sample(trajectories):
     params = LvmParams(0.02, 0.01, 0.004, 0.006, 0.5, 0.3)
     odd = run_scenario(ScenarioSpec("odd", params, FleetState(2020.4, 10.0, 1.0), 2030.7, 0.3))
     for traj, first, last in [(trajectories["low"], 2020, 2100), (odd, 2021, 2030)]:
-        years, xs, ys = sample_yearly(traj)
-        assert years.tolist() == list(range(first, last + 1))
-        # one vectorised interpolation per column equals the per-year sample
-        assert list(zip(xs.tolist(), ys.tolist())) == [traj.sample(t) for t in years.tolist()]
+        rows = sample_yearly(traj)
+        assert [year for year, _, _ in rows] == list(range(first, last + 1))
+        assert [(x, y) for _, x, y in rows] == [traj.sample(year) for year, _, _ in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_trajectories())
+def test_sample_yearly_rows_are_np_interp_at_whole_years(traj):
+    # years within 1e-9 outside the span count, and take the end samples
+    t = numpy_grid(traj)
+    years = np.arange(math.ceil(traj.t0 - 1e-9), math.floor(traj.t_end + 1e-9) + 1, dtype=float)
+    expected = zip(years, np.interp(years, t, traj.x), np.interp(years, t, traj.y))
+    assert list(map(bits, sample_yearly(traj))) == list(map(bits, expected))
