@@ -35,7 +35,7 @@ __all__ = [
 
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
 # FleetSeries holds its years as int64.
-_YEAR_RANGE = np.iinfo(np.int64)
+_YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 
 # Scaled rates gamma * span the profile SSR is scanned on: the gamma -> 0
 # edge, then 25 log-spaced points from 1e-4 to 1e2 (10**(k/4), k = -16..8).
@@ -331,7 +331,7 @@ def load_fleet_csv(path) -> FleetSeries:
                 value = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not _YEAR_RANGE.min <= year <= _YEAR_RANGE.max:
+            if not _YEAR_MIN <= year <= _YEAR_MAX:
                 raise ValidationError(
                     f"{path}: line {lineno}: year {year} does not fit a 64-bit integer"
                 )

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import analytics, infrastructure, scenarios
+from ._files import write_text
 from .dynamics import (
     RK4_REAL_BOUND,
     FleetState,
@@ -137,10 +138,9 @@ def cmd_growth(args) -> int:
     traj = integrate(growth_system(params), initial, args.t1, args.dt)
 
     path = _outdir(args) / "growth.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("year,fleet_mveh\n")
-        for year, x, _ in scenarios.sample_yearly(traj):
-            fh.write(f"{year:.0f},{x:.6f}\n")
+    write_text(path, "year,fleet_mveh\n" + "".join(
+        f"{year:.0f},{x:.6f}\n" for year, x, _ in scenarios.sample_yearly(traj)
+    ))
     print(f"wrote {path}")
     print(f"fleet at {traj.t_end:.1f}: {traj.final.x:.6f} Mveh")
     return 0
@@ -177,9 +177,7 @@ def cmd_scenario(args) -> int:
         targets = scenarios.builtin_targets(spec.name) if args.name is not None else []
         checks = scenarios.compare_targets(traj, targets)
         report = outdir / f"{spec.name}_targets.csv"
-        with open(report, "w", newline="", encoding="utf-8") as fh:
-            fh.write(_TARGET_HEADER)
-            fh.writelines(map(_target_line, checks))
+        write_text(report, _TARGET_HEADER + "".join(map(_target_line, checks)))
         print(f"wrote {report}")
         for c in checks:
             print(
@@ -198,12 +196,12 @@ def cmd_fit(args) -> int:
 
     outdir = _outdir(args)
     path = outdir / "fit.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("year,data_mveh,model_mveh,error\n")
-        for year, value in zip(data.years, data.fleet):
-            model = growth_closed_form(fit.params, fit.n0, float(year - data.years[0]))
-            err = calibration.pointwise_error(float(value), model)
-            fh.write(f"{year},{value:.6f},{model:.6f},{err:.6f}\n")
+    rows = ["year,data_mveh,model_mveh,error\n"]
+    for year, value in zip(data.years, data.fleet):
+        model = growth_closed_form(fit.params, fit.n0, float(year - data.years[0]))
+        err = calibration.pointwise_error(float(value), model)
+        rows.append(f"{year},{value:.6f},{model:.6f},{err:.6f}\n")
+    write_text(path, "".join(rows))
 
     print(f"gamma = {fit.params.gamma:.6g} 1/year")
     print(f"mu    = {fit.params.mu:.6f} Mveh/year")
@@ -224,15 +222,15 @@ def cmd_sensitivity(args) -> int:
 
     outdir = _outdir(args)
     path = outdir / "gradients.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("param,grad_hydrogen,grad_conventional,plog_hydrogen,plog_conventional\n")
-        for name in analytics.PARAM_NAMES:
-            gh = grad_h[name]
-            gc = grad_c[name]
-            fh.write(
-                f"{name},{gh:.6e},{gc:.6e},"
-                f"{analytics.pseudo_log(gh):.6f},{analytics.pseudo_log(gc):.6f}\n"
-            )
+    rows = ["param,grad_hydrogen,grad_conventional,plog_hydrogen,plog_conventional\n"]
+    for name in analytics.PARAM_NAMES:
+        gh = grad_h[name]
+        gc = grad_c[name]
+        rows.append(
+            f"{name},{gh:.6e},{gc:.6e},"
+            f"{analytics.pseudo_log(gh):.6f},{analytics.pseudo_log(gc):.6f}\n"
+        )
+    write_text(path, "".join(rows))
 
     print(f"delta     = {equilibrium.delta:.6e}")
     print(f"x_inf     = {equilibrium.x_inf:.6f} Mveh")
@@ -270,9 +268,9 @@ def cmd_batch(args) -> int:
         checks = scenarios.compare_targets(traj, scenarios.builtin_targets(name))
         all_checks += [(name, c) for c in checks]
     report = outdir / "batch_targets.csv"
-    with open(report, "w", newline="", encoding="utf-8") as fh:
-        fh.write("scenario," + _TARGET_HEADER)
-        fh.writelines(f"{name},{_target_line(c)}" for name, c in all_checks)
+    write_text(report, "scenario," + _TARGET_HEADER + "".join(
+        f"{name},{_target_line(c)}" for name, c in all_checks
+    ))
     print(f"wrote {report}")
     return 0
 

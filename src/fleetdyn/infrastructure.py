@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._files import write_text
 from .errors import ValidationError
 
 __all__ = [
@@ -245,13 +246,11 @@ def petrol_equivalence(total_stations: int, st: StationSpec) -> PetrolEquivalenc
 
 def write_plan_csv(plans: list[DeploymentPlan], path) -> None:
     """Write plans as CSV rows under the standard header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(PLAN_CSV_HEADER) + "\n")
-        for p in plans:
-            fh.write(
-                f"{p.scenario_id},{p.vehicles_per_station},{p.stations_per_year},"
-                f"{p.total_stations},{p.annual_capex:.0f},{p.total_capex:.0f}\n"
-            )
+    write_text(path, ",".join(PLAN_CSV_HEADER) + "\n" + "".join(
+        f"{p.scenario_id},{p.vehicles_per_station},{p.stations_per_year},"
+        f"{p.total_stations},{p.annual_capex:.0f},{p.total_capex:.0f}\n"
+        for p in plans
+    ))
 
 
 def plan_report(plan: DeploymentPlan) -> str:

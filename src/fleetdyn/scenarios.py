@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ._files import write_text
 from .dynamics import FleetState, LvmParams, Trajectory, _grid, integrate, modified_system
 from .errors import ValidationError
 
@@ -172,7 +173,6 @@ def sample_yearly(traj: Trajectory) -> list[tuple[float, float, float]]:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `time,conv,hydro,total` rows with fixed 6-decimal formatting,
     one per integer year (sample_yearly), as in the published figures."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\n")
-        for t, x, y in sample_yearly(traj):
-            fh.write(f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n")
+    write_text(path, ",".join(TRAJECTORY_CSV_HEADER) + "\n" + "".join(
+        f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n" for t, x, y in sample_yearly(traj)
+    ))

@@ -582,6 +582,38 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert existing.read_text() == ""
 
 
+OUTPUTS = [
+    (["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38", "--t0", "1960",
+      "--t1", "2100"], "growth.csv"),
+    (["scenario", "--name", "low", "--targets"], "low_targets.csv"),
+    (["fit", "--data", UK_CSV], "fit.csv"),
+    (["sensitivity"], "gradients.csv"),
+    (["infra", "--id", "S2"], "infra_S2.csv"),
+    (["batch"], "batch_targets.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, name", OUTPUTS)
+def test_output_file_taken_by_a_directory_exits_2(tmp_path, capsys, argv, name):
+    (tmp_path / name).mkdir()
+    with pytest.raises(IsADirectoryError) as expected:
+        open(tmp_path / name, "w")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
+@pytest.mark.parametrize("argv, name", OUTPUTS)
+def test_rerun_replaces_longer_files_byte_for_byte(tmp_path, argv, name):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert name in first
+    for p in out.iterdir():
+        p.write_bytes(p.read_bytes() * 3 + b"stale\n")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_config_only_on_commands_that_read_it(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("uptake = 0.9\n")

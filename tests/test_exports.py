@@ -66,3 +66,43 @@ def test_every_error_class_has_a_raiser():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     assert classes - {"ModelError"} - raised == set()
+
+
+WRITE_MODES = set("wax+")
+
+
+def opens_for_writing(call):
+    """Whether a call opens a file for writing: any `os.open`, or `open` or
+    `X.open` with a w/a/x/+ mode or a mode that is not a constant."""
+    func = call.func
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != "open":
+        return False
+    if owner == "os":
+        return True
+    # open(file, mode) and io.open(file, mode); a method such as Path.open(mode)
+    pos = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[pos] if len(call.args) > pos else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(WRITE_MODES & set(mode.value))
+
+
+def calls_by_function(node, name=None):
+    """(innermost enclosing function name or None, call) for each call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield name, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+        yield from calls_by_function(child, inner)
+
+
+def test_only_write_text_opens_files_for_writing():
+    # Every output file goes through _files.write_text, which replaces the
+    # content in place; a second writer would truncate on open again.
+    writers = {
+        (path.name, func)
+        for path in Path(fleetdyn.__file__).parent.glob("*.py")
+        for func, call in calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if opens_for_writing(call)
+    }
+    assert writers == {("_files.py", "write_text")}

@@ -1,12 +1,15 @@
 """Built-in policy scenarios, share metrics and target comparisons."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import bits, numpy_grid, random_trajectories
+from fleetdyn._files import write_text
 from fleetdyn import (
     FleetState,
     GrowthParams,
@@ -236,6 +239,60 @@ def test_trajectory_csv_round_trip(tmp_path, trajectories):
     # fixed 6-decimal formatting
     assert all(len(cell.split(".")[1]) == 6 for cell in lines[1].split(","))
 
+
+
+def by_open(path, text):
+    """The reference the package's writer must match: a text-mode rewrite."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def test_write_text_replaces_in_place(tmp_path):
+    path, twin = tmp_path / "out.csv", tmp_path / "twin.csv"
+    write_text(path, "old,row\n" * 500)
+    os.link(path, tmp_path / "link.csv")
+    inode = path.stat().st_ino
+    text = "new,\u00e9\r\nrow\n"  # non-ASCII and a CR stay as given
+    write_text(path, text)
+    by_open(twin, text)
+    assert path.stat().st_ino == inode
+    assert (tmp_path / "link.csv").read_bytes() == path.read_bytes() == twin.read_bytes()
+    assert path.read_bytes() == text.encode("utf-8")
+    write_text(tmp_path / "fresh.csv", text)  # creates a missing file
+    assert (tmp_path / "fresh.csv").read_bytes() == twin.read_bytes()
+
+
+def test_write_text_to_devices_and_pipes():
+    write_text("/dev/null", "discarded\n")
+    r, w = os.pipe()
+    try:
+        write_text(f"/dev/fd/{w}", "through,a,pipe\n")
+        os.close(w)
+        w = None
+        assert os.read(r, 100) == b"through,a,pipe\n"
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
+def test_write_text_that_fails_leaves_an_empty_file(tmp_path):
+    # as open(path, "w") does: the old content never stands in for the new
+    for writer, path in [(write_text, tmp_path / "a.csv"), (by_open, tmp_path / "b.csv")]:
+        path.write_text("old,row\n" * 500)
+        with pytest.raises(UnicodeEncodeError):
+            writer(path, "year,value\n\ud800\n")
+        assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("name", ["dir", "missing/out.csv"])
+def test_write_text_raises_what_open_raises(tmp_path, name):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / name
+    with pytest.raises(OSError) as expected:
+        by_open(path, "x\n")
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        write_text(path, "x\n")
 
 def test_sample_yearly_matches_pointwise_sample(trajectories):
     params = LvmParams(0.02, 0.01, 0.004, 0.006, 0.5, 0.3)
