@@ -15,6 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
-# FleetSeries holds its years as int64.
+# A year must fit a signed 64-bit integer, so a series converts to int64 arrays.
 _YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 
 # Scaled rates gamma * span the profile SSR is scanned on: the gamma -> 0
@@ -51,35 +52,50 @@ _NORM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FleetSeries:
-    """Historical fleet sizes: strictly increasing integer years spanning at
-    most 2**53 years, fleet in Mveh."""
+    """Historical fleet sizes: tuples of strictly increasing integer years,
+    spanning at most 2**53 years, and of positive finite fleet values in Mveh."""
 
-    years: np.ndarray
-    fleet: np.ndarray
+    years: tuple[int, ...]
+    fleet: tuple[float, ...]
 
     def __post_init__(self):
-        years = np.asarray(self.years, dtype=int)
-        fleet = np.asarray(self.fleet, dtype=float)
-        if years.ndim != 1 or fleet.ndim != 1 or len(years) != len(fleet):
-            raise ValidationError("years and fleet must be 1-d arrays of equal length")
-        if len(years) == 0:
-            raise ValidationError("series must not be empty")
-        # On Python ints; within 2**53 neither np.diff nor fit_growth's
-        # elapsed years can wrap, and those years are exact floats.
-        span = int(years.max()) - int(years.min())
-        if span > 2**53:
-            raise ValidationError(f"years span {span} years, more than 2**53")
-        if np.any(np.diff(years) <= 0):
-            raise ValidationError("years must be strictly increasing")
-        if np.any(fleet <= 0) or not np.all(np.isfinite(fleet)):
-            raise ValidationError("fleet values must be positive and finite")
-        years.setflags(write=False)
-        fleet.setflags(write=False)
-        object.__setattr__(self, "years", years)
+        try:
+            years = tuple(int(y) if isinstance(y, (int, Integral)) else float(y)
+                          for y in self.years)
+            fleet = tuple(map(float, self.fleet))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"years and fleet must be sequences of numbers: {exc}") from exc
+        if not 0 < len(years) == len(fleet):
+            raise ValidationError("years and fleet must be non-empty and of equal length, "
+                                  f"got {len(years)} and {len(fleet)}")
+        for i, (year, value) in enumerate(zip(years, fleet)):
+            defect = _row_defect(year, value, years[i - 1] if i else None, years[0])
+            if defect:
+                raise ValidationError(f"row {i}: {defect}")
+        object.__setattr__(self, "years", tuple(map(int, years)))
         object.__setattr__(self, "fleet", fleet)
 
     def __len__(self) -> int:
         return len(self.years)
+
+
+def _row_defect(year, value, previous, first) -> str | None:
+    """The first series rule a row breaks, or None. previous is the year of the
+    row before, None for the first row; the rows before have passed."""
+    if not (year % 1 == 0 and _YEAR_MIN <= year <= _YEAR_MAX):
+        return f"year {year} does not fit a 64-bit integer"
+    if not (value > 0 and math.isfinite(value)):
+        return f"fleet value {value} must be positive and finite"
+    if previous is None:
+        return None
+    year, previous, first = int(year), int(previous), int(first)
+    if year <= previous:
+        return f"year {year} does not follow {previous}; years must be strictly increasing"
+    # fit_growth takes the years elapsed since the first as floats
+    if year - first > 2**53:
+        return (f"year {year} is more than 2**53 years after the first year {first}; "
+                "elapsed years must be exact as floats")
+    return None
 
 
 @dataclass(frozen=True)
@@ -157,8 +173,8 @@ def mean_error(data: FleetSeries, model: Trajectory) -> tuple[float, float]:
     """
     errors = []
     for year, value in zip(data.years, data.fleet):
-        x, y = model.sample(float(year))
-        errors.append(pointwise_error(float(value), x + y))
+        x, y = model.sample(year)
+        errors.append(pointwise_error(value, x + y))
     errors = np.array(errors)
     return float(errors.mean()), float(errors.std())
 
@@ -228,13 +244,13 @@ def fit_growth(data: FleetSeries) -> FitResult:
     if len(data) < 3:
         raise ValidationError("fit needs at least 3 data points")
 
-    t = (data.years - data.years[0]).astype(float)
+    t = np.array([year - data.years[0] for year in data.years], dtype=float)
     span = float(t[-1])
     tau = t / span
     # The fit is equivariant in the scale of the data: dividing them by a
     # power of two near their largest value is exact and keeps squares in range.
-    scale = math.ldexp(1.0, math.frexp(float(data.fleet.max()))[1])
-    f = data.fleet / scale
+    scale = math.ldexp(1.0, math.frexp(max(data.fleet))[1])
+    f = np.array(data.fleet) / scale
     ff = float(f @ f)
     floor = _NORM_FLOOR**2 * ff
 
@@ -305,10 +321,8 @@ def _is_blank(row) -> bool:
 def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
-    Each row is checked as it is read: a year that does not fit a 64-bit
-    integer, a value that is not positive and finite, a year that does not
-    follow the one before, or one more than 2**53 years after the first, is
-    reported with its file and line.
+    Each row is checked against the FleetSeries rules as it is read, and the
+    first row that breaks one is reported with its file and line.
     """
     years = []
     fleet = []
@@ -331,30 +345,14 @@ def load_fleet_csv(path) -> FleetSeries:
                 value = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not _YEAR_MIN <= year <= _YEAR_MAX:
-                raise ValidationError(
-                    f"{path}: line {lineno}: year {year} does not fit a 64-bit integer"
-                )
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(
-                    f"{path}: line {lineno}: fleet value {value} must be positive and finite"
-                )
-            if years and year <= years[-1]:
-                raise ValidationError(
-                    f"{path}: line {lineno}: year {year} does not follow {years[-1]}; "
-                    "years must be strictly increasing"
-                )
-            # fit_growth takes the years elapsed since the first as floats
-            if years and year - years[0] > 2**53:
-                raise ValidationError(
-                    f"{path}: line {lineno}: year {year} is more than 2**53 years after "
-                    f"the first year {years[0]}; elapsed years must be exact as floats"
-                )
+            defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
+            if defect:
+                raise ValidationError(f"{path}: line {lineno}: {defect}")
             years.append(year)
             fleet.append(value)
     if not years:
         raise ParseError(f"{path}: no data rows")
-    return FleetSeries(np.array(years), np.array(fleet))
+    return FleetSeries(years, fleet)
 
 
 def bundled_uk_fleet_series() -> FleetSeries:

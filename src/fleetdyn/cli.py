@@ -198,8 +198,8 @@ def cmd_fit(args) -> int:
     path = outdir / "fit.csv"
     rows = ["year,data_mveh,model_mveh,error\n"]
     for year, value in zip(data.years, data.fleet):
-        model = growth_closed_form(fit.params, fit.n0, float(year - data.years[0]))
-        err = calibration.pointwise_error(float(value), model)
+        model = growth_closed_form(fit.params, fit.n0, year - data.years[0])
+        err = calibration.pointwise_error(value, model)
         rows.append(f"{year},{value:.6f},{model:.6f},{err:.6f}\n")
     write_text(path, "".join(rows))
 

@@ -151,8 +151,8 @@ class Trajectory:
     """Fleet sizes x, y on the uniform time grid from t0 to t_end with step dt.
 
     The final step is shortened when (t_end - t0) is not a whole number of
-    steps. x and y are tuples of floats, one sample per grid time; the grid
-    times t are derived on access, t0 + i*dt with the last one t_end exactly.
+    steps. x and y are tuples of finite floats, one sample per grid time; the
+    grid times t are derived on access, t0 + i*dt with the last one t_end exactly.
     """
 
     t0: float
@@ -172,6 +172,13 @@ class Trajectory:
             raise ValidationError(f"{want}: {exc}") from exc
         if not len(x) == len(y) == n:
             raise ValidationError(f"{want}; got {len(x)} and {len(y)}")
+        for name, samples in (("x", x), ("y", y)):
+            # Any non-finite sample makes the sum non-finite, so only such a
+            # sum, which finite samples also reach by overflow, is scanned.
+            if not isfinite(sum(samples)):
+                for i, v in enumerate(samples):
+                    if not isfinite(v):
+                        raise ValidationError(f"Trajectory.{name}[{i}] must be finite, got {v}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -198,7 +205,7 @@ class Trajectory:
         return tuple(x + y for x, y in zip(self.x, self.y))
 
     def sample(self, t: float) -> tuple[float, float]:
-        """(x, y) at t in range: np.interp's value, bit for bit where x and y are finite."""
+        """(x, y) at t in range: np.interp's value, bit for bit."""
         t0, dt, t_end, xs, ys = self.t0, self.dt, self.t_end, self.x, self.y
         if not t0 <= t <= t_end:
             raise ValidationError(f"time {t} outside trajectory range [{t0}, {t_end}]")

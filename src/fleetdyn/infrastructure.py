@@ -183,9 +183,13 @@ def stations_per_year(uptake: float, vps: float) -> int:
     """
     if vps <= 0:
         raise ValidationError("vehicles per station must be positive")
-    if uptake < 0:
+    if not uptake >= 0:
         raise ValidationError("uptake must be non-negative")
-    return _ceil_count(uptake * 1e6 / vps)
+    need = uptake * 1e6 / vps
+    if not math.isfinite(need):
+        raise ValidationError(f"uptake {uptake:g} Mveh/year at {vps:g} vehicles per station "
+                              "needs more stations a year than a float holds")
+    return _ceil_count(need)
 
 
 def deployment_plan(
@@ -209,8 +213,22 @@ def deployment_plan(
     station, vehicle = SCENARIO_BINDINGS[key]
     vps_exact = vehicles_per_station_exact(station, vehicle, basis, utilization)
     vps_floor = vehicles_per_station(station, vehicle, basis, utilization)
+    if vps_floor < 1:
+        raise ValidationError(f"utilization {utilization:g} leaves {vps_exact:g} vehicles per "
+                              "station; a station must support at least one whole vehicle")
     per_year = stations_per_year(uptake, vps_exact)
     per_year_conservative = stations_per_year(uptake, vps_floor)
+    annual_capex = per_year * station.capex
+    if not math.isfinite(annual_capex):
+        raise ValidationError(f"uptake {uptake:g} Mveh/year needs {per_year:.6g} stations a "
+                              "year, whose capex is beyond the float range")
+    try:
+        total_capex = annual_capex * horizon_years
+    except OverflowError:  # an int horizon beyond the float range
+        total_capex = math.inf
+    if not math.isfinite(total_capex):
+        raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} a year "
+                              "puts the total capex beyond the float range")
     return DeploymentPlan(
         scenario_id=key,
         station=station,
@@ -224,8 +242,8 @@ def deployment_plan(
         stations_per_year=per_year,
         stations_per_year_conservative=per_year_conservative,
         total_stations=per_year * horizon_years,
-        annual_capex=per_year * station.capex,
-        total_capex=per_year * station.capex * horizon_years,
+        annual_capex=annual_capex,
+        total_capex=total_capex,
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -63,9 +64,103 @@ def test_fleet_series_validation():
     [0, 2**53 + 1, 2**53 + 2],  # elapsed years are not exact floats
 ])
 def test_fleet_series_refuses_a_span_beyond_exact_floats(years):
-    with pytest.raises(ValidationError, match=r"^years span \d+ years, more than 2\*\*53$"):
+    with pytest.raises(ValidationError, match=r"^row 1: year -?\d+ is more than 2\*\*53 years "
+                       r"after the first year -?\d+; elapsed years must be exact as floats$"):
         FleetSeries(np.array(years), np.array([9.0, 10.0, 11.0]))
     assert len(FleetSeries(np.array([0, 1, 2**53]), np.array([9.0, 10.0, 11.0]))) == 3
+
+
+def test_fleet_series_holds_tuples_of_ints_and_floats():
+    series = FleetSeries(np.array([1971, 1976]), np.array([8.0, 10.0]))
+    assert series.years == (1971, 1976) and series.fleet == (8.0, 10.0)
+    assert {type(y) for y in series.years} == {int}
+    assert {type(v) for v in series.fleet} == {float}
+    assert FleetSeries((1971.0, 1976.0), [8, 10]) == series
+
+
+@pytest.mark.parametrize("years, message", [
+    ((1971.5, 1976, 1981), r"^row 0: year 1971\.5 does not fit a 64-bit integer$"),
+    ((2**70, 2**70 + 1, 2**70 + 2), rf"^row 0: year {2**70} does not fit a 64-bit integer$"),
+    ((1971, 1976, math.nan), r"^row 2: year nan does not fit a 64-bit integer$"),
+])
+def test_fleet_series_refuses_a_year_that_is_not_a_64_bit_integer(years, message):
+    with pytest.raises(ValidationError, match=message):
+        FleetSeries(years, (8.0, 10.0, 10.0))
+
+
+def test_fleet_series_refuses_mismatched_or_empty_input():
+    with pytest.raises(ValidationError, match=r"^years and fleet must be non-empty and of equal "
+                                              r"length, got 2 and 1$"):
+        FleetSeries((1971, 1976), (8.0,))
+    with pytest.raises(ValidationError, match=r"got 0 and 0$"):
+        FleetSeries((), ())
+    with pytest.raises(ValidationError, match=r"^years and fleet must be sequences of numbers"):
+        FleetSeries((1971, 1976), (8.0, "ten"))
+
+
+def _write_rows(path, rows):
+    path.write_text("year,fleet_mveh\n" + "".join(f"{y},{v!r}\n" for y, v in rows))
+
+
+def _refused_alike(path, years, fleet):
+    """FleetSeries(years, fleet) and load_fleet_csv(path) refuse with the same
+    rule text, on row i and line i + 2, or both accept the same series."""
+    try:
+        series = FleetSeries(years, fleet)
+    except ValidationError as exc:
+        row, text = re.fullmatch(r"row (\d+): (.+)", str(exc)).groups()
+        with pytest.raises(ValidationError) as from_csv:
+            load_fleet_csv(path)
+        assert str(from_csv.value) == f"{path}: line {int(row) + 2}: {text}"
+        return int(row)
+    assert load_fleet_csv(path) == series
+    return None
+
+
+# Each series breaks one rule in its last row.
+SERIES_DEFECTS = {
+    "non-increasing year": [(1971, 8.0), (1976, 10.0), (1976, 11.0)],
+    "zero value": [(1971, 8.0), (1976, 0.0)],
+    "negative value": [(1971, 8.0), (1976, -2.5)],
+    "nan value": [(1971, 8.0), (1976, math.nan)],
+    "inf value": [(1971, 8.0), (1976, math.inf)],
+    "year beyond int64": [(1971, 8.0), (2**63, 9.0)],
+    "span over 2**53": [(0, 8.0), (1, 9.0), (2**53 + 1, 10.0)],
+}
+
+
+@pytest.mark.parametrize("rows", SERIES_DEFECTS.values(), ids=SERIES_DEFECTS)
+def test_fleet_series_and_csv_refuse_a_row_with_the_same_text(tmp_path, rows):
+    path = tmp_path / "series.csv"
+    _write_rows(path, rows)
+    assert _refused_alike(path, *zip(*rows)) == len(rows) - 1
+
+
+def _mostly(valid, edges, every=4):
+    """Draws from valid, and from edges once in `every` draws on average."""
+    return st.integers(1, every).flatmap(lambda k: edges if k == 1 else valid)
+
+
+# Mostly valid rows, so that long series are accepted too, and each rule's edges.
+_YEARS = _mostly(st.integers(1900, 2100), st.integers(-2**65, 2**65)
+                 | st.sampled_from([-2**63 - 1, -2**63, 2**63 - 1, 2**63]), every=2)
+_STEPS = _mostly(st.integers(1, 10), st.integers(-2**64, 2**64)
+                 | st.sampled_from([-1, 0, 2**53 - 1, 2**53, 2**53 + 1]))
+_VALUES = _mostly(st.floats(1e-300, 1e300), st.floats()
+                  | st.sampled_from([0.0, -2.5, math.nan, math.inf]), every=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(first=_YEARS, rows=st.lists(st.tuples(_STEPS, _VALUES), min_size=1, max_size=6))
+def test_fleet_series_accepts_exactly_the_rows_load_fleet_csv_accepts(tmp_path_factory, first,
+                                                                       rows):
+    years = [first]
+    for step, _ in rows[1:]:
+        years.append(years[-1] + step)
+    fleet = [value for _, value in rows]
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    _write_rows(path, zip(years, fleet))
+    _refused_alike(path, years, fleet)
 
 
 def test_fuel_mass_model_validation():
@@ -163,7 +258,7 @@ def test_mean_error_invariances():
     m, s = mean_error(data, traj)
     # reordering cannot happen inside FleetSeries (sorted years), but a
     # common rescaling of both sides must leave the metric unchanged
-    scaled_data = FleetSeries(data.years, data.fleet * 3.0)
+    scaled_data = FleetSeries(data.years, np.asarray(data.fleet) * 3.0)
     scaled_traj = Trajectory(traj.t0, traj.dt, traj.t_end,
                              np.asarray(traj.x) * 3.0, np.asarray(traj.y) * 3.0)
     m2, s2 = mean_error(scaled_data, scaled_traj)
@@ -228,7 +323,7 @@ def test_fit_perturbation_never_improves_well_posed_optimum():
 def test_fit_scales_linearly_with_data():
     years = np.arange(1960, 2021, 5)
     data = synthetic_series(GrowthParams(0.02, 0.8), 1.5, years, 1960)
-    doubled = FleetSeries(data.years, data.fleet * 2.0)
+    doubled = FleetSeries(data.years, np.asarray(data.fleet) * 2.0)
     f1, f2 = fit_growth(data), fit_growth(doubled)
     assert f2.params.gamma == pytest.approx(f1.params.gamma, rel=1e-6)
     assert f2.params.mu == pytest.approx(2.0 * f1.params.mu, rel=1e-6)
@@ -242,7 +337,7 @@ def test_fit_of_rescaled_data_is_exact_at_the_ends_of_the_float_range(factor):
     noisy = FleetSeries(data.years, data.fleet * (1 + 0.01 * np.sin(np.arange(len(data)))))
     base = fit_growth(noisy)
     with np.errstate(over="raise", invalid="raise"):
-        fit = fit_growth(FleetSeries(noisy.years, noisy.fleet * factor))
+        fit = fit_growth(FleetSeries(noisy.years, np.asarray(noisy.fleet) * factor))
     assert fit.params.gamma == base.params.gamma
     assert fit.params.mu == base.params.mu * factor
     assert fit.n0 == base.n0 * factor
@@ -297,8 +392,8 @@ def _reference_fit_growth(data):
     """The damped Gauss-Newton loop that evaluates the model and Jacobian
     at the current point and again at each candidate: fit_growth must
     reproduce it bit for bit."""
-    t = (data.years - data.years[0]).astype(float)
-    f = data.fleet
+    t = (np.asarray(data.years) - data.years[0]).astype(float)
+    f = np.asarray(data.fleet)
     span = float(t[-1])
 
     gamma = 1.0 / span
@@ -415,7 +510,7 @@ def _rounding_slack(data, ssr):
     to the minimum is a small fraction of that last move; below 1e-24 |f|^2
     (|r| under 1e-12 |f|) the fit counts as exact and stops.
     """
-    ff = float(data.fleet @ data.fleet)
+    ff = float(np.asarray(data.fleet) @ np.asarray(data.fleet))
     return 1e-13 * math.sqrt(ff * ssr) + 1e-24 * ff
 
 
@@ -502,11 +597,11 @@ def test_fit_finds_an_optimum_below_the_first_grid_rate():
     years = np.arange(1970, 2021, 5)
     data = synthetic_series(GrowthParams(1e-5 / 50, 0.4), 6.0, years, 1970)
     t = (years - 1970).astype(float)
-    assert _profile_ssr(t, data.fleet, 1e-4 / 50) > _line_ssr(t, data.fleet)
+    assert _profile_ssr(t, data.fleet, 1e-4 / 50) > _line_ssr(t, np.asarray(data.fleet))
     fit = fit_growth(data)
     assert fit.termination == "interior"
     assert fit.params.gamma * 50 == pytest.approx(1e-5, rel=1e-3)
-    assert fit.ssr < _line_ssr(t, data.fleet) * 1e-6
+    assert fit.ssr < _line_ssr(t, np.asarray(data.fleet)) * 1e-6
 
 
 def test_fit_keeps_mu_non_negative_on_a_decaying_series():
@@ -562,8 +657,8 @@ def _interior_or_near_linear_series(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_interior_or_near_linear_series())
 def test_fit_is_never_above_the_grid_or_the_line(data):
-    t = (data.years - data.years[0]).astype(float)
-    f, span = data.fleet, t[-1]
+    t = (np.asarray(data.years) - data.years[0]).astype(float)
+    f, span = np.asarray(data.fleet), t[-1]
     try:
         fit = fit_growth(data)
     except FitError:

@@ -541,6 +541,26 @@ def test_infra_non_finite_uptake_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--uptake", "1e303", "uptake 1e+303 Mveh/year at 40 vehicles per station needs more "
+     "stations a year than a float holds"),
+    ("--uptake", "1e300", "uptake 1e+300 Mveh/year needs 2.5e+304 stations a year, whose "
+     "capex is beyond the float range"),
+    ("--utilization", "0.001", "utilization 0.001 leaves 0.04 vehicles per station; a station "
+     "must support at least one whole vehicle"),
+    ("--horizon", str(10**300), f"horizon {10**300} years at GBP 8.75e+09 a year puts the "
+     "total capex beyond the float range"),
+    ("--horizon", str(10**310), f"horizon {10**310} years at GBP 8.75e+09 a year puts the "
+     "total capex beyond the float range"),
+], ids=["count-overflow", "capex-overflow", "under-one-vehicle", "total-capex-inf",
+        "horizon-beyond-float"])
+def test_infra_refuses_an_overflowing_plan(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    assert run_cli("infra", "--id", "S1", flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_infra_invalid_id_exits_2(tmp_path):
     assert run_cli("infra", "--id", "S9", "--out", str(tmp_path)) == 2
 

@@ -107,6 +107,16 @@ def test_trajectory_rejects_samples_off_the_grid():
         Trajectory(2.0, 1.0, 2.0, np.zeros(2), np.zeros(2))
 
 
+def test_trajectory_refuses_non_finite_samples():
+    with pytest.raises(ValidationError, match=r"^Trajectory\.x\[0\] must be finite, got inf$"):
+        Trajectory(0.0, 1.0, 2.0, [math.inf, math.inf, 1.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match=r"^Trajectory\.y\[2\] must be finite, got nan$"):
+        Trajectory(0.0, 1.0, 2.0, np.zeros(3), np.array([1.0, -1.0, math.nan]))
+    # finite samples whose sum overflows are scanned and kept
+    assert Trajectory(0.0, 1.0, 2.0, [1e308, 1e308, -1e308], np.zeros(3)).x == (
+        1e308, 1e308, -1e308)
+
+
 def test_trajectory_arrays_are_readonly():
     tr = Trajectory(0.0, 1.0, 1.0, np.array([1.0, 2.0]), np.zeros(2))
     with pytest.raises(TypeError):

@@ -106,3 +106,18 @@ def test_only_write_text_opens_files_for_writing():
         if opens_for_writing(call)
     }
     assert writers == {("_files.py", "write_text")}
+
+
+def test_series_entry_points_do_not_use_numpy():
+    # A fleet series is plain tuples, checked row by row by one rule
+    # function; numpy belongs to the fit's arithmetic only.
+    path = Path(fleetdyn.__file__).parent / "calibration.py"
+    names = {"FleetSeries", "_row_defect", "load_fleet_csv"}
+    bodies = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if getattr(node, "name", None) in names]
+    assert {node.name for node in bodies} == names
+    numpy_names = {
+        (node.name, ref.id) for node in bodies for ref in ast.walk(node)
+        if isinstance(ref, ast.Name) and ref.id in ("np", "numpy")
+    }
+    assert numpy_names == set()
