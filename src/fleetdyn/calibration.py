@@ -75,6 +75,13 @@ class FleetSeries:
         object.__setattr__(self, "years", tuple(map(int, years)))
         object.__setattr__(self, "fleet", fleet)
 
+    @classmethod
+    def _checked(cls, years, fleet) -> "FleetSeries":
+        """The series of int years and float values known to pass _row_defect."""
+        series = object.__new__(cls)
+        series.__dict__.update(years=tuple(years), fleet=tuple(fleet))
+        return series
+
     def __len__(self) -> int:
         return len(self.years)
 
@@ -352,7 +359,7 @@ def load_fleet_csv(path) -> FleetSeries:
             fleet.append(value)
     if not years:
         raise ParseError(f"{path}: no data rows")
-    return FleetSeries(years, fleet)
+    return FleetSeries._checked(years, fleet)
 
 
 def bundled_uk_fleet_series() -> FleetSeries:

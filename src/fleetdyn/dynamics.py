@@ -182,6 +182,13 @@ class Trajectory:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _checked(cls, t0, dt, t_end, xs, ys) -> "Trajectory":
+        """The Trajectory of samples known to be finite floats, one per grid time."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(t0=t0, dt=dt, t_end=t_end, x=tuple(xs), y=tuple(ys))
+        return traj
+
     def __len__(self) -> int:
         return len(self.x)
 
@@ -206,27 +213,39 @@ class Trajectory:
 
     def sample(self, t: float) -> tuple[float, float]:
         """(x, y) at t in range: np.interp's value, bit for bit."""
+        if not self.t0 <= t <= self.t_end:
+            raise ValidationError(f"time {t} outside trajectory range [{self.t0}, {self.t_end}]")
+        return self._sample_many((t,))[0][1:]
+
+    def _sample_many(self, times) -> list[tuple[float, float, float]]:
+        """(q, x, y) for each q of times: np.interp's (x, y) at q, bit for bit,
+        a q outside the range taking the nearest end sample as np.interp does."""
         t0, dt, t_end, xs, ys = self.t0, self.dt, self.t_end, self.x, self.y
-        if not t0 <= t <= t_end:
-            raise ValidationError(f"time {t} outside trajectory range [{t0}, {t_end}]")
-        if t == t_end:
-            return xs[-1], ys[-1]
-        # the cell t_j <= t < t_k, k = j + 1; the quotient misses it where t0 + j*dt rounds
         last = len(xs) - 1
-        j = min(int((t - t0) / dt), last - 1)
-        tj = t0 + j * dt
-        while t < tj:
-            j -= 1
+        rows = []
+        row = rows.append
+        for q in times:
+            t = t0 if q < t0 else q
+            if t >= t_end:
+                row((q, xs[-1], ys[-1]))
+                continue
+            # the cell t_j <= t < t_k, k = j + 1; the quotient misses it where t0 + j*dt rounds
+            j = min(int((t - t0) / dt), last - 1)
             tj = t0 + j * dt
-        k = j + 1
-        tk = t0 + k * dt if k < last else t_end
-        while tk <= t:
-            j, tj, k = k, tk, k + 1
+            while t < tj:
+                j -= 1
+                tj = t0 + j * dt
+            k = j + 1
             tk = t0 + k * dt if k < last else t_end
-        if t == tj:
-            return xs[j], ys[j]
-        x, y, span = xs[j], ys[j], tk - tj
-        return (xs[k] - x) / span * (t - tj) + x, (ys[k] - y) / span * (t - tj) + y
+            while tk <= t:
+                j, tj, k = k, tk, k + 1
+                tk = t0 + k * dt if k < last else t_end
+            if t == tj:
+                row((q, xs[j], ys[j]))
+                continue
+            x, y, span = xs[j], ys[j], tk - tj
+            row((q, (xs[k] - x) / span * (t - tj) + x, (ys[k] - y) / span * (t - tj) + y))
+        return rows
 
 
 class Field(NamedTuple):
@@ -316,6 +335,7 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
     c1, c2, c3, c4, c5, c6 = map(float, field)
     x, y = float(s0.x), float(s0.y)
     xs, ys = [x], [y]
+    append_x, append_y = xs.append, ys.append
     # field(x, y) written out at each stage: the same IEEE operations in
     # the same order as calling it, without the calls.
     for h, n in ((dt, n_full), (remainder, int(remainder > 0))):
@@ -330,17 +350,18 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
             k4x, k4y = x4 * (c1 + c2 * y4) + c3, y4 * (c4 * x4 + c5) + c6
             x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            # This covers every stage: a non-finite stage coordinate makes both
-            # of its rates non-finite, whatever the coefficients (inf*0 is nan),
-            # and every rate enters the result through a sum nothing cancels.
-            if not (isfinite(x) and isfinite(y)):
-                i = len(xs)
-                # the previous grid time plus dt, or t_end after a shortened step
-                near = s0.t + (i - 1) * dt + dt if i <= n_full else t_end
-                raise IntegrationError(f"state became non-finite near t={near}")
-            xs.append(x)
-            ys.append(y)
-    return Trajectory(s0.t, dt, t_end, xs, ys)
+            append_x(x)
+            append_y(y)
+    # A non-finite stage makes its rates non-finite, whatever the coefficients
+    # (inf*0 is nan), and they enter the step's result through a sum nothing
+    # cancels. A non-finite sample is absorbing, as inf or nan plus anything is
+    # never finite, so the last state is finite exactly when every stage was.
+    if not (isfinite(x) and isfinite(y)):
+        i = next(i for i, (u, v) in enumerate(zip(xs, ys)) if not (isfinite(u) and isfinite(v)))
+        # the previous grid time plus dt, or t_end after a shortened step
+        near = s0.t + (i - 1) * dt + dt if i <= n_full else t_end
+        raise IntegrationError(f"state became non-finite near t={near}")
+    return Trajectory._checked(s0.t, dt, t_end, xs, ys)
 
 
 def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:

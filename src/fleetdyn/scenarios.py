@@ -164,15 +164,14 @@ def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
 def sample_yearly(traj: Trajectory) -> list[tuple[float, float, float]]:
     """(year, x, y) at the integer years inside the trajectory's span, x and
     y linearly interpolated on the integration grid at those years."""
-    t0, t_end = traj.t0, traj.t_end
-    years = map(float, range(math.ceil(t0 - 1e-9), math.floor(t_end + 1e-9) + 1))
     # a year within 1e-9 outside the span takes the nearest end sample, as np.interp would
-    return [(t,) + traj.sample(t0 if t < t0 else t_end if t > t_end else t) for t in years]
+    return traj._sample_many(
+        map(float, range(math.ceil(traj.t0 - 1e-9), math.floor(traj.t_end + 1e-9) + 1)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `time,conv,hydro,total` rows with fixed 6-decimal formatting,
     one per integer year (sample_yearly), as in the published figures."""
-    write_text(path, ",".join(TRAJECTORY_CSV_HEADER) + "\n" + "".join(
-        f"{t:.6f},{x:.6f},{y:.6f},{x + y:.6f}\n" for t, x, y in sample_yearly(traj)
-    ))
+    write_text(path, ",".join(TRAJECTORY_CSV_HEADER) + "\n" + "".join([
+        "%.6f,%.6f,%.6f,%.6f\n" % (t, x, y, x + y) for t, x, y in sample_yearly(traj)
+    ]))

@@ -163,6 +163,26 @@ def test_fleet_series_accepts_exactly_the_rows_load_fleet_csv_accepts(tmp_path_f
     _refused_alike(path, years, fleet)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(first=st.integers(-2**63, 2**63 - 61),
+       rows=st.lists(st.tuples(st.integers(1, 10), st.floats(0.0, exclude_min=True,
+                                                           allow_infinity=False)),
+                     min_size=1, max_size=6))
+def test_load_fleet_csv_builds_what_the_public_constructor_builds(tmp_path_factory, first,
+                                                                  rows):
+    years = [first]
+    for step, _ in rows[1:]:
+        years.append(years[-1] + step)
+    path = tmp_path_factory.getbasetemp() / "accepted.csv"
+    _write_rows(path, zip(years, (value for _, value in rows)))
+    series = load_fleet_csv(path)
+    assert type(series.years) is type(series.fleet) is tuple
+    assert {type(y) for y in series.years} == {int}
+    assert {type(v) for v in series.fleet} == {float}
+    public = FleetSeries(series.years, series.fleet)
+    assert series == public and hash(series) == hash(public)
+
+
 def test_fuel_mass_model_validation():
     m = FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=260.0)
     assert (m.m_dot, m.m_i, m.m_i_dot) == (1e9, 5.0, 260.0)

@@ -149,6 +149,20 @@ def test_sample_is_np_interp_to_the_bit(traj, fractions):
         assert bits(traj.sample(q)) == bits((np.interp(q, t, traj.x), np.interp(q, t, traj.y)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_trajectories(), st.lists(st.floats(0.0, 1.0), max_size=4), st.randoms())
+def test_sample_many_is_sample_at_each_time(traj, fractions, rnd):
+    # grid times, their float neighbours inside the range, t_end and points
+    # between, in an order the search cannot rely on
+    times = [q for g in traj.t
+             for q in (math.nextafter(g, -math.inf), g, math.nextafter(g, math.inf))
+             if traj.t0 <= q <= traj.t_end]
+    times += [traj.t_end] + [traj.t0 + f * (traj.t_end - traj.t0) for f in fractions]
+    rnd.shuffle(times)
+    assert list(map(bits, traj._sample_many(times))) == [
+        bits((t, *traj.sample(t))) for t in times]
+
+
 # ---------------------------------------------------------- right-hand sides
 
 def test_rhs_growth_fixed_point_and_source():
@@ -313,6 +327,9 @@ def test_integrate_blowup_names_the_time_the_step_reaches():
     # 10.25 steps below, it overflows within the shortened final step to t_end
     with pytest.raises(IntegrationError, match=r"near t=1\.05$"):
         integrate(slope, FleetState(0.0, top - 10.25e306, 0.0), 1.05, 0.1)
+    # the same overflow on a grid of 10**5 steps, which the run steps through
+    with pytest.raises(IntegrationError, match=r"near t=0\.6$"):
+        integrate(slope, FleetState(0.0, top - 5.5e306, 0.0), 10000.0, 0.1)
 
 
 def test_integrate_checks_every_stage_state():
@@ -398,6 +415,27 @@ def test_integrate_equals_the_stage_checked_reference(field, x0, y0, t0, dt, ste
     assert _outcome(integrate, field, s0, t_end, dt) == _outcome(
         _reference_integrate, field.__call__, s0, t_end, dt
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    field=fields,
+    x0=state,
+    y0=state,
+    t0=st.floats(-100.0, 100.0),
+    dt=st.floats(0.01, 3.0),
+    steps=st.integers(1, 40),
+    part=st.one_of(st.just(0.0), st.floats(0.05, 0.95)),
+)
+def test_integrate_builds_what_the_public_constructor_builds(field, x0, y0, t0, dt, steps, part):
+    try:
+        traj = integrate(field, FleetState(t0, x0, y0), t0 + (steps + part) * dt, dt)
+    except IntegrationError:
+        return
+    assert type(traj.x) is type(traj.y) is tuple
+    assert {type(v) for v in traj.x + traj.y} == {float}
+    public = Trajectory(traj.t0, traj.dt, traj.t_end, traj.x, traj.y)
+    assert traj == public and hash(traj) == hash(public)
 
 
 def test_integrate_rejects_non_finite_horizon_and_step():
