@@ -114,6 +114,12 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     that an asymptote is not a finite float, or where an overflowed
     denominator would round to 0 an asymptote that a positive source keeps positive.
     """
+    x_inf, y_inf, sq = _asymptotes(p)
+    return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)
+
+
+def _asymptotes(p: LvmParams) -> tuple[float, float, float]:
+    """asymptotic_state's (x_inf, y_inf, sqrt(delta)), without building an Equilibrium."""
     sq = _root_discriminant(p)
     coupling = p.a * p.mu_h + p.epsilon * p.mu_c
     gg = p.gamma_c * p.gamma_h
@@ -131,7 +137,7 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
             or x_den == math.inf and p.mu_c > 0 or y_den == math.inf and p.mu_h > 0):
         raise DegenerateCaseError(f"no finite competition equilibrium for a = {p.a}, "
                                   f"epsilon = {p.epsilon}, gamma_h = {p.gamma_h}")
-    return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)
+    return x_inf, y_inf, sq
 
 
 def _linearise(p: LvmParams):
@@ -205,7 +211,7 @@ def finite_difference_sensitivity(
 
     Each parameter is perturbed by h = h_rel * max(|value|, 1e-8). This is
     the independent verifier for the analytic gradients; it only evaluates
-    asymptotic_state, never the closed-form derivatives.
+    the closed-form asymptotes, never the closed-form derivatives.
     """
     if not h_rel > 0:
         raise ValidationError(f"h_rel must be positive, got {h_rel}")
@@ -216,13 +222,13 @@ def finite_difference_sensitivity(
     for name in PARAM_NAMES:
         h = h_rel * max(abs(base[name]), 1e-8)
         try:
-            plus = asymptotic_state(LvmParams(**{**base, name: base[name] + h}))
-            minus = asymptotic_state(LvmParams(**{**base, name: base[name] - h}))
+            x_plus, y_plus, _ = _asymptotes(LvmParams(**{**base, name: base[name] + h}))
+            x_minus, y_minus, _ = _asymptotes(LvmParams(**{**base, name: base[name] - h}))
         except ValidationError as exc:
             raise OracleError(
                 f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc
-        grads_h["d_" + name] = (plus.y_inf - minus.y_inf) / (2.0 * h)
-        grads_c["d_" + name] = (plus.x_inf - minus.x_inf) / (2.0 * h)
+        grads_h["d_" + name] = (y_plus - y_minus) / (2.0 * h)
+        grads_c["d_" + name] = (x_plus - x_minus) / (2.0 * h)
     return SensitivityVector(**grads_h), SensitivityVector(**grads_c)
 
 

@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import GrowthParams, Trajectory
+from .dynamics import _NONNEGATIVE, GrowthParams, Trajectory, _refuse
 from .errors import FitError, ParseError, ValidationError
 
 __all__ = [
@@ -121,10 +121,7 @@ class FuelMassModel:
     m_i_dot: float
 
     def __post_init__(self):
-        for name in ("m_dot", "m_i", "m_i_dot"):
-            v = getattr(self, name)
-            if not (v >= 0) or not math.isfinite(v):
-                raise ValidationError(f"{name} must be non-negative, got {v}")
+        _refuse(self, _NONNEGATIVE, "m_dot", "m_i", "m_i_dot")
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,15 @@ def mean_error(data: FleetSeries, model: Trajectory) -> tuple[float, float]:
     for year, value in zip(data.years, data.fleet):
         x, y = model.sample(year)
         errors.append(pointwise_error(value, x + y))
-    errors = np.array(errors)
-    return float(errors.mean()), float(errors.std())
+    return _mean_std(np.array(errors))
+
+
+def _mean_std(errs) -> tuple[float, float]:
+    """ndarray.mean and .std of a 1-d array by their own arithmetic, without their
+    Python wrappers: sum / n, then sqrt(sum(dev * dev) / n) with dev = errs - mean."""
+    mean = np.add.reduce(errs, 0) / len(errs)
+    dev = errs - mean
+    return float(mean), math.sqrt(_dot(dev, dev) / len(errs))
 
 
 def _project(s, tau, f):
@@ -210,18 +214,19 @@ def _project(s, tau, f):
     ww = _dot(w, w)
     mu = np.maximum(_dot(w, f), 0.0) / ww
     n0 = _dot(e, f) / ee - mu * c
-    r = f - n0 * e - mu * phi
+    mu_phi = mu * phi
+    r = f - n0 * e - mu_phi
     # d(model)/d(log s); s dphi/ds = tau e - phi, which cancels only where
     # s tau is far below the scan grid.
-    d = (n0 * ms_tau + mu * tau) * e - mu * phi
+    d = (n0 * ms_tau + mu * tau) * e - mu_phi
     pd = d - _dot(e, d) / ee * e
     pd = pd - _dot(w, pd) / ww * (mu > 0) * w
     return _dot(r, r), n0, mu, r, -2.0 * _dot(r, d), 2.0 * _dot(pd, pd)
 
 
 def _dot(a, b):
-    """Dot products over the data points, the first axis."""
-    return (a * b).sum(axis=0)
+    """Dot products over the data points, the first axis, by ndarray.sum's reduce."""
+    return np.add.reduce(a * b, 0)
 
 
 def fit_growth(data: FleetSeries) -> FitResult:
@@ -262,13 +267,13 @@ def fit_growth(data: FleetSeries) -> FitResult:
     floor = _NORM_FLOOR**2 * ff
 
     def result(rate, ssr, n0, mu, r, steps, termination):
-        errs = np.abs(r / f)
+        mean_err, std_err = _mean_std(np.abs(r / f))
         return FitResult(
             params=GrowthParams(gamma=float(rate) / span, mu=float(mu) * scale / span),
             n0=float(n0) * scale,
             anchor_year=float(data.years[0]),
-            mean_error=float(errs.mean()),
-            std_error=float(errs.std()),
+            mean_error=mean_err,
+            std_error=std_err,
             n_iterations=steps,
             ssr=float(ssr) * scale * scale,
             termination=termination,

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analytics, infrastructure, scenarios
+from . import scenarios
 from ._files import write_text
 from .dynamics import (
     RK4_REAL_BOUND,
@@ -213,6 +213,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from . import analytics
+
     params = LvmParams(**{key: getattr(args, key) for key, _, _ in _LVM})
 
     equilibrium = analytics.asymptotic_state(params)
@@ -242,6 +244,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_infra(args) -> int:
+    from . import infrastructure
+
     plan = infrastructure.deployment_plan(
         args.id,
         uptake=args.uptake,

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_lvm_params
+from conftest import bits, random_lvm_params
 from fleetdyn import (
     DegenerateCaseError,
     FleetState,
     LvmParams,
     OracleError,
+    SensitivityVector,
     StabilityClass,
     ValidationError,
     asymptotic_state,
@@ -29,7 +30,7 @@ from fleetdyn import (
     sensitivity_conventional,
     sensitivity_hydrogen,
 )
-from fleetdyn.analytics import PARAM_NAMES
+from fleetdyn.analytics import PARAM_NAMES, _asymptotes
 
 MODERATE = LvmParams(gamma_c=0.01, gamma_h=0.01, a=0.005, epsilon=0.005, mu_c=0.65, mu_h=0.35)
 # A focus: the Jacobian at the fixed point has eigenvalues -0.0147 +- 0.0102i.
@@ -420,6 +421,57 @@ def test_fd_rejects_invalid_step_and_invalid_region():
         finite_difference_sensitivity(p, 1e-2)
     with pytest.raises(ValidationError):
         finite_difference_sensitivity(p, -1e-6)
+
+
+def _reference_fd(p, h_rel):
+    """The verifier built as before the private closed form: one Equilibrium
+    from asymptotic_state for each probe."""
+    base = {name: getattr(p, name) for name in PARAM_NAMES}
+    grads_h, grads_c = {}, {}
+    for name in PARAM_NAMES:
+        h = h_rel * max(abs(base[name]), 1e-8)
+        try:
+            plus = asymptotic_state(LvmParams(**{**base, name: base[name] + h}))
+            minus = asymptotic_state(LvmParams(**{**base, name: base[name] - h}))
+        except ValidationError as exc:
+            raise OracleError(
+                f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc
+        grads_h["d_" + name] = (plus.y_inf - minus.y_inf) / (2.0 * h)
+        grads_c["d_" + name] = (plus.x_inf - minus.x_inf) / (2.0 * h)
+    return SensitivityVector(**grads_h), SensitivityVector(**grads_c)
+
+
+def _fd_outcome(fd, p, h_rel):
+    """The gradients' bits, or the refusal's type and text."""
+    try:
+        grad_h, grad_c = fd(p, h_rel)
+    except (DegenerateCaseError, OracleError) as exc:
+        return type(exc), str(exc)
+    return bits(grad_h[name] for name in PARAM_NAMES) + bits(grad_c[name] for name in PARAM_NAMES)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.builds(LvmParams, anywhere, anywhere, anywhere, anywhere,
+                 anywhere_or_zero, anywhere_or_zero)
+       | st.builds(LvmParams, rate, rate, rate, rate, source, source),
+       st.sampled_from([1e-5, 1e-3, 1e-8]))
+@example(MODERATE, 1e-5)
+# mu_h = 0: the probe mu_h - h is refused, as test_fd_rejects_invalid_step_and_invalid_region checks
+@example(LvmParams(gamma_c=0.1, gamma_h=0.1, a=0.05, epsilon=0.0100001, mu_c=1.0, mu_h=0.0), 1e-2)
+def test_fd_verifier_is_the_equilibrium_built_reference(p, h_rel):
+    outcome = _fd_outcome(finite_difference_sensitivity, p, h_rel)
+    assert outcome == _fd_outcome(_reference_fd, p, h_rel)
+    if p.mu_c == 0 or p.mu_h == 0:
+        # the probe below a zero source leaves the domain, if no probe before it is degenerate
+        assert outcome[0] in (OracleError, DegenerateCaseError)
+    try:
+        eq = asymptotic_state(p)
+    except DegenerateCaseError:
+        with pytest.raises(DegenerateCaseError):
+            _asymptotes(p)
+        return
+    x_inf, y_inf, sq = _asymptotes(p)
+    assert bits((eq.x_inf, eq.y_inf, eq.delta)) == bits((x_inf, y_inf, sq * sq))
 
 
 # ---------------------------------------------------------------- pseudo log

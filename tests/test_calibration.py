@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import bits
 import fleetdyn.calibration as calibration
 from fleetdyn import (
     FitError,
@@ -192,6 +194,8 @@ def test_fuel_mass_model_validation():
         FuelMassModel(m_dot=1e9, m_i=-5.0, m_i_dot=260.0)
     with pytest.raises(ValidationError):
         FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=math.nan)
+    with pytest.raises(ValidationError, match=r"^m_i must be non-negative, got 1000+$"):
+        FuelMassModel(m_dot=1e9, m_i=10**400, m_i_dot=260.0)
 
 
 # ------------------------------------------------------- derive growth params
@@ -631,6 +635,72 @@ def test_fit_keeps_mu_non_negative_on_a_decaying_series():
     assert fit.params.mu == 0.0
     # the loop stalls on its way to the mu = 0 face
     assert fit.ssr < _ssr_at(data, ref.params, ref.n0)
+
+
+# ------------------------------------------------ numpy's reductions, bit for bit
+
+# Any float64, nan and the infinities included.
+_ANY_FLOAT64 = st.floats(width=64)
+
+
+@st.composite
+def _dot_operands(draw):
+    """Operands of calibration._dot as the fit forms them: 1-d over the data
+    points for a Newton step, or a point by rate scan with a column or a scan."""
+    n = draw(st.integers(3, 64))
+    if draw(st.booleans()):
+        shapes = (n,), (n,)
+    else:
+        shapes = (n, len(calibration._RATES)), draw(
+            st.sampled_from([(n, 1), (n, len(calibration._RATES))]))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=_ANY_FLOAT64)) for shape in shapes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dot_operands())
+def test_dot_is_ndarray_sum_to_the_bit(operands):
+    a, b = operands
+    with np.errstate(all="ignore"):
+        assert calibration._dot(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, st.integers(3, 64), elements=_ANY_FLOAT64)
+       | hnp.arrays(np.float64, st.integers(3, 64), elements=st.floats(0.0, 10.0)))
+def test_mean_std_is_numpys_mean_and_std_to_the_bit(errs):
+    with np.errstate(all="ignore"):
+        assert bits(calibration._mean_std(errs)) == bits((np.mean(errs), np.std(errs)))
+
+
+def test_fit_error_statistics_are_numpys_mean_and_std(monkeypatch):
+    def fitted(data):
+        try:
+            return repr(fit_growth(data))
+        except FitError as exc:
+            return repr(exc.best)
+
+    # the fit's statistics are the helper's, once a fit, and equal numpy's own
+    calls = []
+
+    def numpys(errs):
+        calls.append(errs)
+        return float(errs.mean()), float(errs.std())
+
+    corpus = _fit_corpus(40) + [bundled_uk_fleet_series()]
+    fits = [fitted(data) for data in corpus]
+    monkeypatch.setattr(calibration, "_mean_std", numpys)
+    assert fits == [fitted(data) for data in corpus]
+    assert len(calls) == len(corpus)
+
+
+def test_mean_error_is_numpys_mean_and_std_of_the_pointwise_errors():
+    for data in _fit_corpus(40):
+        n0 = data.fleet[0]
+        traj = integrate(growth_system(GrowthParams(0.05, 0.1 * n0)),
+                         FleetState(float(data.years[0]), n0, 0.0), float(data.years[-1]), 0.5)
+        errs = np.array([pointwise_error(v, sum(traj.sample(y)))
+                         for y, v in zip(data.years, data.fleet)])
+        assert bits(mean_error(data, traj)) == bits((errs.mean(), errs.std()))
 
 
 # ---------------------------------------------- fit against the profile SSR

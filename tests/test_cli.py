@@ -663,8 +663,10 @@ def test_python_m_entry_point(tmp_path):
 
 
 # In a fresh interpreter: run `python -m fleetdyn` with the given arguments,
-# or only `import fleetdyn` without any, and print whether numpy got loaded.
-_STARTUP_PROBE = """\
+# or only `import fleetdyn` without any, and print which of the watched
+# modules got loaded.
+_WATCHED = ("numpy", "fleetdyn.analytics", "fleetdyn.calibration", "fleetdyn.infrastructure")
+_STARTUP_PROBE = f"""\
 import runpy, sys
 if len(sys.argv) > 1:
     try:
@@ -673,26 +675,28 @@ if len(sys.argv) > 1:
         assert not exc.code, exc.code
 else:
     import fleetdyn
-print("numpy" in sys.modules)
+print(" ".join(m for m in {_WATCHED!r} if m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    ((), False),
-    (("sensitivity",), False),
-    (("infra", "--id", "S2"), False),
-    (("--help",), False),
-    (("batch",), False),
-    (("scenario", "--name", "moderate"), False),
+# Each command loads only the modules it runs: numpy only with calibration,
+# which fits with arrays, and analytics or infrastructure only for their command.
+@pytest.mark.parametrize("argv, loads", [
+    ((), ""),
+    (("sensitivity",), "fleetdyn.analytics"),
+    (("infra", "--id", "S2"), "fleetdyn.infrastructure"),
+    (("--help",), ""),
+    (("batch",), ""),
+    (("scenario", "--name", "moderate"), ""),
     (("growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38", "--t0", "1960", "--t1", "2020"),
-     False),
-    (("fit", "--data", UK_CSV), True),  # fits with arrays: shows that the probe sees a load
+     ""),
+    (("fit", "--data", UK_CSV), "numpy fleetdyn.calibration"),
 ], ids=["import", "sensitivity", "infra", "help", "batch", "scenario", "growth", "fit"])
-def test_fresh_process_imports_numpy_only_where_used(tmp_path, argv, loads_numpy):
+def test_fresh_process_imports_numpy_only_where_used(tmp_path, argv, loads):
     env = dict(os.environ, PYTHONPATH=SRC, FLEETDYN_OUT=str(tmp_path / "o"))
     result = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == str(loads_numpy)
+    assert result.stdout.splitlines()[-1] == loads

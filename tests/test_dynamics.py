@@ -1,6 +1,7 @@
 """Core dynamics: parameter/state validation, right-hand sides, the RK4
 integrator and the growth-model closed form."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -83,6 +84,83 @@ def test_fleet_state_nonnegative_guard():
     FleetState(2020.0, 28.95, 0.0).require_nonnegative()
     with pytest.raises(ValidationError):
         FleetState(2020.0, -1.0, 0.0).require_nonnegative()
+
+
+# The field rules as written before each became one chained comparison:
+# for each field, the test that refuses a value and the refusal's text.
+_REFUSED_POSITIVE = (lambda v: not (v > 0) or not math.isfinite(v),
+                     "{} must be strictly positive, got {}")
+_REFUSED_NONNEGATIVE = (lambda v: not (v >= 0) or not math.isfinite(v),
+                        "{} must be non-negative, got {}")
+_REFUSED_NOT_FINITE = (lambda v: not math.isfinite(v), "FleetState.{} must be finite, got {}")
+_RATES = ("gamma_c", "gamma_h", "a", "epsilon")
+_FIELD_RULES = {
+    GrowthParams: {"gamma": _REFUSED_POSITIVE, "mu": _REFUSED_NONNEGATIVE},
+    ClassicalLvmParams: dict.fromkeys(_RATES, _REFUSED_POSITIVE),
+    LvmParams: {**dict.fromkeys(_RATES, _REFUSED_POSITIVE),
+                "mu_c": _REFUSED_NONNEGATIVE, "mu_h": _REFUSED_NONNEGATIVE},
+    FleetState: dict.fromkeys(("t", "x", "y"), _REFUSED_NOT_FINITE),
+}
+_EDGE_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300, 5e-324,
+                -5e-324, 1e-310, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+                0.65, 2020.0)
+
+
+def _reference_refusal(cls, values):
+    """The text the per-field rules refuse values with, or None: the first
+    failing field in declaration order."""
+    for name, (refused, message) in _FIELD_RULES[cls].items():
+        if refused(values[name]):
+            return message.format(name, values[name])
+    return None
+
+
+def _check_against_the_reference(cls, values):
+    want = _reference_refusal(cls, values)
+    if want is None:
+        assert [getattr(cls(**values), name) for name in values] == list(values.values())
+    else:
+        with pytest.raises(ValidationError) as exc:
+            cls(**values)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("cls", _FIELD_RULES, ids=lambda cls: cls.__name__)
+def test_one_comparison_refuses_exactly_what_the_per_field_rule_refuses(cls):
+    # every edge value in every field, and every pair of them in every two fields
+    names = list(_FIELD_RULES[cls])
+    for i, j in itertools.combinations(range(len(names)), 2):
+        for u, v in itertools.product(_EDGE_FLOATS, repeat=2):
+            values = dict.fromkeys(names, 0.5)
+            values[names[i]], values[names[j]] = u, v
+            _check_against_the_reference(cls, values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(_FIELD_RULES)), st.data())
+def test_one_comparison_agrees_with_the_per_field_rule_on_any_floats(cls, data):
+    floats = st.floats(width=64) | st.sampled_from(_EDGE_FLOATS) | st.floats(0.0, 1e3)
+    _check_against_the_reference(cls, {name: data.draw(floats) for name in _FIELD_RULES[cls]})
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, name) for cls, rules in _FIELD_RULES.items() for name in rules
+], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("big, shown", [
+    (10**400, "1" + "0" * 400),
+    (-10**400, "-1" + "0" * 400),
+    (2**1024, str(2**1024)),
+    (10**5000, "an int too long to print"),  # str() refuses it, past 4300 digits
+], ids=["1e400", "-1e400", "2**1024", "1e5000"])
+def test_value_types_refuse_an_int_beyond_the_float_range(cls, name, big, shown):
+    values = dict.fromkeys(_FIELD_RULES[cls], 0.5)
+    values[name] = big
+    message = _FIELD_RULES[cls][name][1]
+    with pytest.raises(ValidationError) as exc:
+        cls(**values)
+    assert str(exc.value) == message.format(name, shown)
+    values[name] = 10**300  # an int inside the float range passes
+    cls(**values)
 
 
 def test_trajectory_validation():
