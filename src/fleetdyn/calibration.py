@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 FLEET_CSV_HEADER = ("year", "fleet_mveh")
-# A year must fit a signed 64-bit integer, so a series converts to int64 arrays.
+# A year must fit a signed 64-bit integer, well inside the float range, so that
+# fit_growth's FitResult.anchor_year = float(years[0]) cannot overflow.
 _YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 
 # Scaled rates gamma * span the profile SSR is scanned on: the gamma -> 0

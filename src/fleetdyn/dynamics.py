@@ -49,6 +49,7 @@ _MAX_STEPS = 10**6
 # Field rules of the value types, (test, refusal text) with one chained test:
 # for a float, 0 < v <= _FMAX holds exactly where v > 0 and v is finite, and an
 # int beyond the float range fails it instead of overflowing math.isfinite.
+# A value that passes is stored as float(v), so an int computes as its float does.
 _FMAX = sys.float_info.max
 _POSITIVE = (lambda v: 0 < v <= _FMAX, "{} must be strictly positive, got {}")
 _NONNEGATIVE = (lambda v: 0 <= v <= _FMAX, "{} must be non-negative, got {}")
@@ -56,7 +57,7 @@ _FINITE = (lambda v: -_FMAX <= v <= _FMAX, "FleetState.{} must be finite, got {}
 
 
 def _refuse(obj, rule, *names):
-    """Raise ValidationError for the first of names whose value breaks rule."""
+    """Refuse the first of names whose value breaks rule; store the values as floats."""
     for name in names:
         v = getattr(obj, name)
         if not rule[0](v):
@@ -65,6 +66,7 @@ def _refuse(obj, rule, *names):
             except ValueError:  # an int above sys.get_int_max_str_digits() digits
                 shown = "an int too long to print"
             raise ValidationError(rule[1].format(name, shown))
+        object.__setattr__(obj, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,13 @@ class LvmParams:
     mu_h: float
 
     def __post_init__(self):
-        # the rules spelt out inline, as the FD verifier builds 12 of these per call
+        # The rules spelt out inline, as the FD verifier builds 12 of these per call; a value
+        # that is not a float (an int, a numpy scalar) goes to _refuse to be stored as one.
         if not (0 < self.gamma_c <= _FMAX and 0 < self.gamma_h <= _FMAX and 0 < self.a <= _FMAX
                 and 0 < self.epsilon <= _FMAX and 0 <= self.mu_c <= _FMAX
-                and 0 <= self.mu_h <= _FMAX):
+                and 0 <= self.mu_h <= _FMAX and type(self.gamma_c) is type(self.gamma_h)
+                is type(self.a) is type(self.epsilon) is type(self.mu_c) is type(self.mu_h)
+                is float):
             _refuse(self, _POSITIVE, "gamma_c", "gamma_h", "a", "epsilon")
             _refuse(self, _NONNEGATIVE, "mu_c", "mu_h")
 

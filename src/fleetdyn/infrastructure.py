@@ -15,7 +15,7 @@ what the headline deployment figures and costs are based on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._files import write_text
 from .errors import ValidationError
@@ -112,6 +112,9 @@ SCENARIO_BINDINGS = {
 class DeploymentPlan:
     """Station build schedule and cost for one scenario.
 
+    A plan holds the inputs of deployment_plan and derives the other fields
+    at construction, so dataclasses.replace(plan, uptake=...) re-derives them.
+
     stations_per_year and the derived totals/costs come from the
     exact-ratio rate (uptake / exact vehicles-per-station, rounded up);
     stations_per_year_conservative rounds the vehicles-per-station figure
@@ -119,34 +122,83 @@ class DeploymentPlan:
     """
 
     scenario_id: str
-    station: StationSpec
-    vehicle: VehicleSpec
-    uptake: float  # Mveh/year absorbed by the hydrogen supply chain
-    horizon_years: int
-    basis: str  # "daily" or "annual" support model
-    utilization: float
-    vehicles_per_station: int
-    vehicles_per_station_exact: float
-    stations_per_year: int
-    stations_per_year_conservative: int
-    total_stations: int
-    annual_capex: float
-    total_capex: float
+    uptake: float = 0.35  # Mveh/year absorbed by the hydrogen supply chain
+    horizon_years: int = 30
+    basis: str = "daily"  # "daily" or "annual" support model
+    utilization: float = 1.0
+    station: StationSpec = field(init=False)
+    vehicle: VehicleSpec = field(init=False)
+    vehicles_per_station: int = field(init=False)
+    vehicles_per_station_exact: float = field(init=False)
+    stations_per_year: int = field(init=False)
+    stations_per_year_conservative: int = field(init=False)
+    total_stations: int = field(init=False)
+    annual_capex: float = field(init=False)
+    total_capex: float = field(init=False)
+
+    def __post_init__(self):
+        uptake, horizon_years, utilization = self.uptake, self.horizon_years, self.utilization
+        key = self.scenario_id.strip().upper()
+        if key not in SCENARIO_BINDINGS:
+            raise ValidationError(f"unknown scenario {self.scenario_id!r}; "
+                                  f"expected one of {', '.join(SCENARIO_BINDINGS)}")
+        if not (uptake > 0 and math.isfinite(uptake)):
+            raise ValidationError(f"uptake must be positive and finite, got {uptake}")
+        if horizon_years <= 0:
+            raise ValidationError("horizon must be positive")
+        station, vehicle = SCENARIO_BINDINGS[key]
+        vps_exact = vehicles_per_station_exact(station, vehicle, self.basis, utilization)
+        vps_floor = vehicles_per_station(station, vehicle, self.basis, utilization)
+        if vps_floor < 1:
+            raise ValidationError(f"utilization {utilization:g} leaves {vps_exact:g} vehicles per "
+                                  "station; a station must support at least one whole vehicle")
+        per_year = stations_per_year(uptake, vps_exact)
+        annual_capex = per_year * station.capex
+        if not math.isfinite(annual_capex):
+            raise ValidationError(f"uptake {uptake:g} Mveh/year needs {per_year:.6g} stations a "
+                                  "year, whose capex is beyond the float range")
+        try:
+            total_capex = annual_capex * horizon_years
+        except OverflowError:  # an int horizon beyond the float range
+            total_capex = math.inf
+        if not math.isfinite(total_capex):
+            raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} a year "
+                                  "puts the total capex beyond the float range")
+        self.__dict__.update(
+            scenario_id=key, station=station, vehicle=vehicle,
+            vehicles_per_station=vps_floor, vehicles_per_station_exact=vps_exact,
+            stations_per_year=per_year,
+            stations_per_year_conservative=stations_per_year(uptake, vps_floor),
+            total_stations=per_year * horizon_years,
+            annual_capex=annual_capex, total_capex=total_capex)
 
 
 @dataclass(frozen=True)
 class PetrolEquivalence:
-    """How a station build-out compares with petrol filling stations.
+    """How total_stations stations compare with petrol filling stations.
 
     rounded_ratio is the public-discussion figure (14 for a large
     station); equivalent_at_rounded_ratio divides by it instead of the
-    exact ratio.
+    exact ratio. The four figures are derived at construction.
     """
 
-    ratio_exact: float  # petrol throughput / station yearly capacity
-    equivalent_exact: float  # stations * capacity / petrol throughput
-    rounded_ratio: int
-    equivalent_at_rounded_ratio: int
+    total_stations: int
+    station: StationSpec
+    ratio_exact: float = field(init=False)  # petrol throughput / station yearly capacity
+    equivalent_exact: float = field(init=False)  # stations * capacity / petrol throughput
+    rounded_ratio: int = field(init=False)
+    equivalent_at_rounded_ratio: int = field(init=False)
+
+    def __post_init__(self):
+        if self.total_stations < 0:
+            raise ValidationError("total_stations must be non-negative")
+        petrol, capacity = PETROL_STATION_THROUGHPUT_KG_PER_YEAR, self.station.capacity_per_year
+        ratio = petrol / capacity
+        rounded = round(ratio)
+        self.__dict__.update(ratio_exact=ratio,
+                             equivalent_exact=self.total_stations * capacity / petrol,
+                             rounded_ratio=rounded,
+                             equivalent_at_rounded_ratio=round(self.total_stations / rounded))
 
 
 def _ceil_count(value: float) -> int:
@@ -200,66 +252,12 @@ def deployment_plan(
     utilization: float = 1.0,
 ) -> DeploymentPlan:
     """Build schedule and capital cost for one of the scenarios S1-S4."""
-    key = scenario_id.strip().upper()
-    if key not in SCENARIO_BINDINGS:
-        raise ValidationError(
-            f"unknown scenario {scenario_id!r}; expected one of {', '.join(SCENARIO_BINDINGS)}"
-        )
-    if not (uptake > 0 and math.isfinite(uptake)):
-        raise ValidationError(f"uptake must be positive and finite, got {uptake}")
-    if horizon_years <= 0:
-        raise ValidationError("horizon must be positive")
-
-    station, vehicle = SCENARIO_BINDINGS[key]
-    vps_exact = vehicles_per_station_exact(station, vehicle, basis, utilization)
-    vps_floor = vehicles_per_station(station, vehicle, basis, utilization)
-    if vps_floor < 1:
-        raise ValidationError(f"utilization {utilization:g} leaves {vps_exact:g} vehicles per "
-                              "station; a station must support at least one whole vehicle")
-    per_year = stations_per_year(uptake, vps_exact)
-    per_year_conservative = stations_per_year(uptake, vps_floor)
-    annual_capex = per_year * station.capex
-    if not math.isfinite(annual_capex):
-        raise ValidationError(f"uptake {uptake:g} Mveh/year needs {per_year:.6g} stations a "
-                              "year, whose capex is beyond the float range")
-    try:
-        total_capex = annual_capex * horizon_years
-    except OverflowError:  # an int horizon beyond the float range
-        total_capex = math.inf
-    if not math.isfinite(total_capex):
-        raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} a year "
-                              "puts the total capex beyond the float range")
-    return DeploymentPlan(
-        scenario_id=key,
-        station=station,
-        vehicle=vehicle,
-        uptake=uptake,
-        horizon_years=horizon_years,
-        basis=basis,
-        utilization=utilization,
-        vehicles_per_station=vps_floor,
-        vehicles_per_station_exact=vps_exact,
-        stations_per_year=per_year,
-        stations_per_year_conservative=per_year_conservative,
-        total_stations=per_year * horizon_years,
-        annual_capex=annual_capex,
-        total_capex=total_capex,
-    )
+    return DeploymentPlan(scenario_id, uptake, horizon_years, basis, utilization)
 
 
 def petrol_equivalence(total_stations: int, st: StationSpec) -> PetrolEquivalence:
     """Express a hydrogen build-out as a number of petrol filling stations."""
-    if total_stations < 0:
-        raise ValidationError("total_stations must be non-negative")
-    petrol = PETROL_STATION_THROUGHPUT_KG_PER_YEAR
-    ratio = petrol / st.capacity_per_year
-    rounded = round(ratio)
-    return PetrolEquivalence(
-        ratio_exact=ratio,
-        equivalent_exact=total_stations * st.capacity_per_year / petrol,
-        rounded_ratio=rounded,
-        equivalent_at_rounded_ratio=round(total_stations / rounded),
-    )
+    return PetrolEquivalence(total_stations, st)
 
 
 def write_plan_csv(plans: list[DeploymentPlan], path) -> None:

@@ -71,7 +71,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class TargetCheck:
-    """A published target at one year: filled in by compare_targets.
+    """A published target at one year: compare_targets fills in observed.
 
     metric names the compared quantity; "zev_share" is the only one.
     """
@@ -81,7 +81,12 @@ class TargetCheck:
     expected: float
     tolerance: float
     observed: float | None = None
-    passed: bool | None = None
+
+    @property
+    def passed(self) -> bool | None:
+        """None until observed is set, then whether it is within tolerance of expected."""
+        observed = self.observed
+        return None if observed is None else abs(observed - self.expected) <= self.tolerance
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:
@@ -136,18 +141,8 @@ def zev_share(traj: Trajectory, year: float) -> float:
 
 
 def compare_targets(traj: Trajectory, checks: list[TargetCheck]) -> list[TargetCheck]:
-    """Fill the observed ZEV share and pass flag of each target template."""
-    results = []
-    for check in checks:
-        observed = zev_share(traj, check.year)
-        results.append(
-            replace(
-                check,
-                observed=observed,
-                passed=abs(observed - check.expected) <= check.tolerance,
-            )
-        )
-    return results
+    """Fill the observed ZEV share of each target template."""
+    return [replace(check, observed=zev_share(traj, check.year)) for check in checks]
 
 
 def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:

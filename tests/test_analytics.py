@@ -257,6 +257,27 @@ def test_asymptotic_state_errors():
         asymptotic_state(degenerate)
 
 
+def _equilibrium_or_refusal(p):
+    try:
+        return asymptotic_state(p)
+    except DegenerateCaseError as exc:
+        return str(exc)
+
+
+int_rate = st.integers(1, 10) | st.integers(0, 308).map(lambda e: 10**e)
+int_source = st.just(0) | int_rate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(int_rate, int_rate, int_rate, int_rate, int_source, int_source))
+@example((10**300, 10**300, 1, 1, 1, 1))  # exact int arithmetic overflowed here
+@example((1, 1, 1, 1, 1, 1))
+def test_int_and_float_inputs_give_the_same_equilibrium_or_refusal(values):
+    as_ints, as_floats = LvmParams(*values), LvmParams(*map(float, values))
+    assert all(type(v) is float for v in vars(as_ints).values())
+    assert _equilibrium_or_refusal(as_ints) == _equilibrium_or_refusal(as_floats)
+
+
 # ---------------------------------------------------------------- gradients
 
 def test_hydrogen_gradient_published_value(tab_grad_params):

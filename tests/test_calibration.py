@@ -196,6 +196,8 @@ def test_fuel_mass_model_validation():
         FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=math.nan)
     with pytest.raises(ValidationError, match=r"^m_i must be non-negative, got 1000+$"):
         FuelMassModel(m_dot=1e9, m_i=10**400, m_i_dot=260.0)
+    ints = FuelMassModel(m_dot=10**9, m_i=5, m_i_dot=260)
+    assert [type(v) for v in vars(ints).values()] == [float] * 3
 
 
 # ------------------------------------------------------- derive growth params

@@ -159,8 +159,9 @@ def test_value_types_refuse_an_int_beyond_the_float_range(cls, name, big, shown)
     with pytest.raises(ValidationError) as exc:
         cls(**values)
     assert str(exc.value) == message.format(name, shown)
-    values[name] = 10**300  # an int inside the float range passes
-    cls(**values)
+    values[name] = 10**300  # an int inside the float range passes, stored as a float
+    stored = getattr(cls(**values), name)
+    assert type(stored) is float and stored == 1e300
 
 
 def test_trajectory_validation():

@@ -1,10 +1,15 @@
 """Refuelling-station sizing, deployment plans and cost arithmetic."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetdyn import (
+    DeploymentPlan,
+    PetrolEquivalence,
     StationSpec,
     ValidationError,
     VehicleSpec,
@@ -18,6 +23,7 @@ from fleetdyn.infrastructure import (
     HFCRE_VEHICLE,
     LARGE_STATION,
     PLAN_CSV_HEADER,
+    SCENARIO_BINDINGS,
     SMALL_STATION,
     plan_report,
     vehicles_per_station_exact,
@@ -180,6 +186,63 @@ def test_deployment_annual_basis_flagged():
     assert "annual" in plan_report(plan)
 
 
+# ------------------------------------------------------ plan as a value type
+
+@pytest.mark.parametrize("derived", [
+    {"total_stations": 1},
+    {"total_stations": 1, "annual_capex": -5.0},
+    {"station": LARGE_STATION},
+    {"vehicles_per_station_exact": 1.0},
+])
+def test_plan_replace_refuses_a_derived_field(derived):
+    with pytest.raises(ValueError, match="init=False"):
+        replace(deployment_plan("S2"), **derived)
+    with pytest.raises(TypeError):
+        DeploymentPlan("S2", **derived)
+
+
+def test_plan_replace_rederives_every_field():
+    plan = deployment_plan(" s2 ")
+    assert plan.scenario_id == "S2" and plan == DeploymentPlan("S2")
+    for uptake in (0.7, 0.01, 3.0):
+        assert replace(plan, uptake=uptake) == deployment_plan("S2", uptake)
+    assert replace(plan, scenario_id="s3", horizon_years=12, basis="annual",
+                   utilization=0.5) == deployment_plan("S3", 0.35, 12, "annual", 0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["S1", "s2", " S3 ", "S4", "S5", ""]),
+    st.floats(1e-6, 10.0) | st.floats() | st.sampled_from([0.0, -0.35, 1e300]),
+    st.integers(-2, 60) | st.just(10**300),
+    st.sampled_from(["daily", "annual", "weekly"]),
+    st.floats(-0.5, 1.5) | st.sampled_from([1.0, 0.5, 1e-3]),
+)
+def test_plan_fields_are_the_free_functions_of_its_inputs(sid, uptake, horizon, basis, util):
+    inputs = (sid, uptake, horizon, basis, util)
+    try:
+        plan = DeploymentPlan(*inputs)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as refused:
+            deployment_plan(*inputs)
+        assert str(refused.value) == str(exc)
+        return
+    assert plan == deployment_plan(*inputs)
+    assert (plan.scenario_id, plan.uptake, plan.horizon_years, plan.basis,
+            plan.utilization) == (sid.strip().upper(), uptake, horizon, basis, util)
+    station, vehicle = SCENARIO_BINDINGS[plan.scenario_id]
+    exact = vehicles_per_station_exact(station, vehicle, basis, util)
+    floor = vehicles_per_station(station, vehicle, basis, util)
+    per_year = stations_per_year(uptake, exact)
+    assert (plan.station, plan.vehicle) == (station, vehicle)
+    assert (plan.vehicles_per_station_exact, plan.vehicles_per_station) == (exact, floor)
+    assert plan.stations_per_year == per_year
+    assert plan.stations_per_year_conservative == stations_per_year(uptake, floor)
+    assert plan.total_stations == per_year * horizon
+    assert plan.annual_capex == per_year * station.capex
+    assert plan.total_capex == per_year * station.capex * horizon
+
+
 # ----------------------------------------------------------------- petrol
 
 def test_petrol_equivalence_published_ratio():
@@ -197,6 +260,15 @@ def test_petrol_equivalence_zero_and_validation():
     assert eq.equivalent_at_rounded_ratio == 0
     with pytest.raises(ValidationError):
         petrol_equivalence(-1, LARGE_STATION)
+
+
+def test_petrol_equivalence_holds_its_inputs_and_derives_the_rest():
+    eq = petrol_equivalence(20010, LARGE_STATION)
+    assert eq == PetrolEquivalence(20010, LARGE_STATION)
+    assert replace(eq, total_stations=0) == petrol_equivalence(0, LARGE_STATION)
+    assert replace(eq, station=SMALL_STATION) == petrol_equivalence(20010, SMALL_STATION)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(eq, rounded_ratio=1)
 
 
 # ------------------------------------------------------------------ report

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ def test_compare_targets_pass_flag_consistency(trajectories):
             template = [TargetCheck(2050.0, "zev_share", expected, 0.05)]
             check = compare_targets(trajectories[name], template)[0]
             assert check.passed == (abs(check.observed - expected) <= 0.05)
+
+
+def test_target_check_derives_passed_from_observed():
+    template = TargetCheck(2050.0, "zev_share", 0.92, 0.05)
+    assert template.observed is None and template.passed is None
+    assert replace(template, observed=0.90).passed is True
+    assert replace(template, observed=0.80).passed is False
+    with pytest.raises(TypeError):
+        TargetCheck(2050.0, "zev_share", 0.92, 0.05, observed=0.5, passed=True)
 
 
 def test_builtin_targets_table():
