@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import LvmParams
+from .dynamics import _FMAX, LvmParams
 from .errors import DegenerateCaseError, OracleError, ValidationError
 
 __all__ = [
@@ -73,12 +73,17 @@ class SensitivityVector:
         return getattr(self, "d_" + param)
 
 
-def _root_discriminant(p: LvmParams) -> float:
+def _coefficients(p: LvmParams) -> list[float]:
+    """p's six coefficients in field order: gamma_c, gamma_h, a, epsilon, mu_c, mu_h."""
+    return [p.gamma_c, p.gamma_h, p.a, p.epsilon, p.mu_c, p.mu_h]
+
+
+def _root_discriminant(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> float:
     """sqrt(delta) without forming delta: with A = a mu_h, B = eps mu_c and
     G = gamma_c gamma_h, delta = (A + B - G)^2 + 4AG, so sqrt(delta) is
     hypot(A + B - G, 2 sqrt(A) sqrt(G)), which squares nothing."""
-    a_mu, g_g = p.a * p.mu_h, p.gamma_c * p.gamma_h
-    return math.hypot(a_mu + p.epsilon * p.mu_c - g_g, 2.0 * math.sqrt(a_mu) * math.sqrt(g_g))
+    a_mu, g_g = a * mu_h, gamma_c * gamma_h
+    return math.hypot(a_mu + epsilon * mu_c - g_g, 2.0 * math.sqrt(a_mu) * math.sqrt(g_g))
 
 
 def discriminant(p: LvmParams) -> float:
@@ -91,7 +96,7 @@ def discriminant(p: LvmParams) -> float:
     sqrt(delta) as asymptotic_state takes it, and inf where delta itself
     is above the float range.
     """
-    sq = _root_discriminant(p)
+    sq = _root_discriminant(*_coefficients(p))
     return sq * sq  # inf on overflow, where ** 2 would raise
 
 
@@ -120,28 +125,33 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
 
 def _asymptotes(p: LvmParams) -> tuple[float, float, float]:
     """asymptotic_state's (x_inf, y_inf, sqrt(delta)), without building an Equilibrium."""
-    sq = _root_discriminant(p)
-    coupling = p.a * p.mu_h + p.epsilon * p.mu_c
-    gg = p.gamma_c * p.gamma_h
+    return _solve(*_coefficients(p))
+
+
+def _solve(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> tuple[float, float, float]:
+    """_asymptotes of the six coefficients, which must pass LvmParams' rules."""
+    sq = _root_discriminant(gamma_c, gamma_h, a, epsilon, mu_c, mu_h)
+    coupling = a * mu_h + epsilon * mu_c
+    gg = gamma_c * gamma_h
     # sq >= |coupling - gg| keeps y's second denominator positive; the
     # other two are zero only where every product in them underflows.
     x_den = coupling + gg + sq
-    x_inf = 2.0 * p.gamma_h * p.mu_c / x_den if x_den else math.inf
+    x_inf = 2.0 * gamma_h * mu_c / x_den if x_den else math.inf
     if coupling >= gg:
-        y_den = 2.0 * p.a * p.gamma_h
+        y_den = 2.0 * a * gamma_h
         y_inf = (coupling - gg + sq) / y_den if y_den else math.inf
     else:
         y_den = sq + gg - coupling
-        y_inf = 2.0 * p.gamma_c * p.mu_h / y_den
+        y_inf = 2.0 * gamma_c * mu_h / y_den
     if (not (math.isfinite(x_inf) and math.isfinite(y_inf))
-            or x_den == math.inf and p.mu_c > 0 or y_den == math.inf and p.mu_h > 0):
-        raise DegenerateCaseError(f"no finite competition equilibrium for a = {p.a}, "
-                                  f"epsilon = {p.epsilon}, gamma_h = {p.gamma_h}")
+            or x_den == math.inf and mu_c > 0 or y_den == math.inf and mu_h > 0):
+        raise DegenerateCaseError(f"no finite competition equilibrium for a = {a}, "
+                                  f"epsilon = {epsilon}, gamma_h = {gamma_h}")
     return x_inf, y_inf, sq
 
 
 def _linearise(p: LvmParams):
-    """The fixed point, the Jacobian J of the rates there, and det J.
+    """The fixed point (x*, y*), the Jacobian J of the rates there, and det J.
 
     J = [[-gamma_c - a y*, -a x*], [eps y*, eps x* - gamma_h]]. Where y* > 0
     the fixed-point condition turns J22 into -mu_h / y*, free of the
@@ -149,8 +159,7 @@ def _linearise(p: LvmParams):
     sum of positive terms. Raises DegenerateCaseError unless 0 < det < inf;
     det = 0 at the transcritical point, where the fixed point is not hyperbolic.
     """
-    eq = asymptotic_state(p)
-    x, y = eq.x_inf, eq.y_inf
+    x, y, _ = _asymptotes(p)
     j11 = -p.gamma_c - p.a * y
     j12 = -p.a * x
     j21 = p.epsilon * y
@@ -158,7 +167,7 @@ def _linearise(p: LvmParams):
     det = j11 * j22 - j12 * j21
     if not 0 < det < math.inf:
         raise DegenerateCaseError(f"det J = {det} at the fixed point ({x}, {y}), not in (0, inf)")
-    return eq, (j11, j12), (j21, j22), det
+    return x, y, (j11, j12), (j21, j22), det
 
 
 def classify_stability(p: LvmParams) -> StabilityClass:
@@ -169,15 +178,15 @@ def classify_stability(p: LvmParams) -> StabilityClass:
     (damped oscillation) otherwise. Raises DegenerateCaseError where det J
     is not a positive finite float.
     """
-    _, (j11, _), (_, j22), det = _linearise(p)
+    _, _, (j11, _), (_, j22), det = _linearise(p)
     trace = j11 + j22
     if trace * trace >= 4.0 * det:
         return StabilityClass.MONOTONE_EQUILIBRIUM
     return StabilityClass.DAMPED_OSCILLATION
 
 
-def _gradient(eq: Equilibrium, r1: float, r2: float) -> SensitivityVector:
-    """One asymptote's gradient from its row (r1, r2) of -J^-1.
+def _gradient(x: float, y: float, r1: float, r2: float) -> SensitivityVector:
+    """One asymptote's gradient at the fixed point (x, y) from its row (r1, r2) of -J^-1.
 
     By the implicit function theorem d(x*, y*)/dp = -J^-1 dF/dp, and for
     every parameter dF/dp has a single nonzero entry: mu_h (0, 1), mu_c
@@ -185,7 +194,6 @@ def _gradient(eq: Equilibrium, r1: float, r2: float) -> SensitivityVector:
     (-x*, 0). Each component is then one product, with no subtraction; a
     non-finite one raises DegenerateCaseError.
     """
-    x, y = eq.x_inf, eq.y_inf
     grad = (r2, r1, r2 * x * y, -r1 * x * y, -r2 * y, -r1 * x)
     if not all(map(math.isfinite, grad)):
         raise DegenerateCaseError(f"a gradient at the fixed point ({x}, {y}) is not finite")
@@ -194,14 +202,14 @@ def _gradient(eq: Equilibrium, r1: float, r2: float) -> SensitivityVector:
 
 def sensitivity_hydrogen(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the hydrogen asymptote y_inf."""
-    eq, (j11, _), (j21, _), det = _linearise(p)
-    return _gradient(eq, j21 / det, -j11 / det)
+    x, y, (j11, _), (j21, _), det = _linearise(p)
+    return _gradient(x, y, j21 / det, -j11 / det)
 
 
 def sensitivity_conventional(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the conventional asymptote x_inf."""
-    eq, (_, j12), (_, j22), det = _linearise(p)
-    return _gradient(eq, -j22 / det, j12 / det)
+    x, y, (_, j12), (_, j22), det = _linearise(p)
+    return _gradient(x, y, -j22 / det, j12 / det)
 
 
 def finite_difference_sensitivity(
@@ -212,24 +220,35 @@ def finite_difference_sensitivity(
     Each parameter is perturbed by h = h_rel * max(|value|, 1e-8). This is
     the independent verifier for the analytic gradients; it only evaluates
     the closed-form asymptotes, never the closed-form derivatives.
+
+    A probe changes one coefficient of p, so it is checked against that
+    coefficient's rule alone and solved on the six floats; only a probe that
+    breaks the rule builds the LvmParams whose refusal the OracleError
+    carries. Each + probe is checked and solved before its - probe.
     """
     if not h_rel > 0:
         raise ValidationError(f"h_rel must be positive, got {h_rel}")
 
-    base = {name: getattr(p, name) for name in PARAM_NAMES}
-    grads_h = {}
-    grads_c = {}
-    for name in PARAM_NAMES:
-        h = h_rel * max(abs(base[name]), 1e-8)
-        try:
-            x_plus, y_plus, _ = _asymptotes(LvmParams(**{**base, name: base[name] + h}))
-            x_minus, y_minus, _ = _asymptotes(LvmParams(**{**base, name: base[name] - h}))
-        except ValidationError as exc:
-            raise OracleError(
-                f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc
-        grads_h["d_" + name] = (y_plus - y_minus) / (2.0 * h)
-        grads_c["d_" + name] = (x_plus - x_minus) / (2.0 * h)
-    return SensitivityVector(**grads_h), SensitivityVector(**grads_c)
+    base = _coefficients(p)
+    grads_h, grads_c = [], []
+    # PARAM_NAMES is the field order reversed; the last two fields are the sources
+    for i, name in zip(range(5, -1, -1), PARAM_NAMES):
+        h = h_rel * max(abs(base[i]), 1e-8)
+        solved = []
+        for v in (base[i] + h, base[i] - h):
+            probe = base.copy()
+            probe[i] = v
+            if not (0 < v <= _FMAX or v == 0 and i > 3):
+                try:
+                    LvmParams(*probe)
+                except ValidationError as exc:
+                    raise OracleError(
+                        f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc
+            solved.append(_solve(*probe))
+        (x_plus, y_plus, _), (x_minus, y_minus, _) = solved
+        grads_h.append((y_plus - y_minus) / (2.0 * h))
+        grads_c.append((x_plus - x_minus) / (2.0 * h))
+    return SensitivityVector(*grads_h), SensitivityVector(*grads_c)
 
 
 def pseudo_log(g: float) -> float:

@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import _NONNEGATIVE, GrowthParams, Trajectory, _refuse
+from .dynamics import _FMAX, _NONNEGATIVE, GrowthParams, Trajectory, _refuse
 from .errors import FitError, ParseError, ValidationError
 
 __all__ = [
@@ -327,18 +327,18 @@ def fit_growth(data: FleetSeries) -> FitResult:
     return result(*point, steps, "boundary" if point[0] == _EDGE else "interior")
 
 
-def _is_blank(row) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
     Each row is checked against the FleetSeries rules as it is read, and the
-    first row that breaks one is reported with its file and line.
+    first row that breaks one is reported with its file and line. A row
+    passes on one chained test, lo < year <= hi and 0 < value <= max float,
+    lo the previous year and hi the int64 maximum or 2**53 years after the
+    first; _row_defect runs only on a failing row, to name the rule it breaks.
     """
     years = []
     fleet = []
+    lo, hi = _YEAR_MIN - 1, _YEAR_MAX
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -349,18 +349,21 @@ def load_fleet_csv(path) -> FleetSeries:
                 f"{path}: line 1: expected header 'year,fleet_mveh', got {','.join(header)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if _is_blank(row):
-                continue
             if len(row) != 2:
+                if not row or len(row) == 1 and not row[0].strip():
+                    continue  # a blank line
                 raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
             try:
                 year = int(row[0])
                 value = float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
-            if defect:
+            if not (lo < year <= hi and 0 < value <= _FMAX):
+                defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
                 raise ValidationError(f"{path}: line {lineno}: {defect}")
+            if not years:
+                hi = min(year + 2**53, _YEAR_MAX)
+            lo = year
             years.append(year)
             fleet.append(value)
     if not years:

@@ -148,7 +148,7 @@ class DeploymentPlan:
             raise ValidationError("horizon must be positive")
         station, vehicle = SCENARIO_BINDINGS[key]
         vps_exact = vehicles_per_station_exact(station, vehicle, self.basis, utilization)
-        vps_floor = vehicles_per_station(station, vehicle, self.basis, utilization)
+        vps_floor = int(math.floor(round(vps_exact, 6)))  # as vehicles_per_station
         if vps_floor < 1:
             raise ValidationError(f"utilization {utilization:g} leaves {vps_exact:g} vehicles per "
                                   "station; a station must support at least one whole vehicle")

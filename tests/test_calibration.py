@@ -1,12 +1,13 @@
 """Data ingestion, error metric and growth-model fitting."""
 
+import csv
 import math
 import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -847,3 +848,116 @@ def test_load_fleet_csv_line_numbers_count_blank_lines(tmp_path):
     path.write_text("year,fleet_mveh\n\n1971,8.0\n\n\n1976,9.0\n1981,nan\n")
     with pytest.raises(ValidationError, match=r"line 7: fleet value nan must"):
         load_fleet_csv(path)
+
+
+def _reference_load(path):
+    """load_fleet_csv by the per-row rule: _row_defect on every row, in file order."""
+    years, fleet = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if [c.strip().lower() for c in header] != ["year", "fleet_mveh"]:
+            raise ParseError(
+                f"{path}: line 1: expected header 'year,fleet_mveh', got {','.join(header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                year = int(row[0])
+                value = float(row[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            defect = calibration._row_defect(
+                year, value, *(years[-1], years[0]) if years else (None, year))
+            if defect:
+                raise ValidationError(f"{path}: line {lineno}: {defect}")
+            years.append(year)
+            fleet.append(value)
+    if not years:
+        raise ParseError(f"{path}: no data rows")
+    return FleetSeries(years, fleet)
+
+
+def _load_outcome(load, path):
+    """The series' years and value bits, or the refusal's type and text."""
+    try:
+        series = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    assert {type(y) for y in series.years} == {int}
+    return series.years, bits(series.fleet)
+
+
+_VALID_VALUE_TEXTS = st.floats(1e-300, 1e300).map(repr)
+_VALUE_TEXTS = st.floats().map(repr) | st.sampled_from([
+    "0", "-0.0", "5e-324", "1.7976931348623157e308", "1e309", "inf", "-inf", "nan", " 8.5",
+])
+
+
+@st.composite
+def _fleet_csv_texts(draw):
+    """`year,fleet_mveh` texts whose years mostly step up from a first year, mixed with
+    blank lines, rows of 1 or 3 fields and fields that do not parse."""
+    year = draw(_YEARS)
+    lines = ["year,fleet_mveh"]
+    kinds = st.sampled_from(["row"] * 16 + ["blank", "short", "long", "text"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind == "row":
+            value = draw(st.sampled_from([_VALID_VALUE_TEXTS] * 5 + [_VALUE_TEXTS]))
+            lines.append(f"{year},{draw(value)}")
+            year += draw(draw(st.sampled_from([st.integers(1, 10)] * 5 + [_STEPS])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "short":
+            lines.append(draw(st.sampled_from([str(year), "8.0", "x"])))
+        elif kind == "long":
+            lines.append(f"{year},8.0,{draw(st.sampled_from(['', '9', 'x']))}")
+        else:
+            lines.append(draw(st.sampled_from([f"{year}.5,8.0", f"x{year},8.0", f"{year},", ","])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_fleet_csv_texts())
+@example(f"year,fleet_mveh\n{-2**63},1.0\n{-2**63 + 1},5e-324\n")
+@example(f"year,fleet_mveh\n{-2**63 - 1},1.0\n")
+@example(f"year,fleet_mveh\n{2**63 - 2},1.7976931348623157e308\n{2**63 - 1},1.0\n")
+@example(f"year,fleet_mveh\n{2**63 - 1},1.0\n{2**63},1.0\n")
+@example(f"year,fleet_mveh\n{2**63},1.0\n")
+@example(f"year,fleet_mveh\n0,1.0\n1,2.0\n{2**53},3.0\n")
+@example(f"year,fleet_mveh\n0,1.0\n1,2.0\n{2**53 + 1},3.0\n")
+@example(f"year,fleet_mveh\n{2**63 - 2**53 - 1},1.0\n{2**63 - 1},2.0\n")
+@example("year,fleet_mveh\n1971,0\n")
+@example("year,fleet_mveh\n1971,8.0\n1976,-0.0\n")
+@example("year,fleet_mveh\n1971,inf\n")
+@example("year,fleet_mveh\n1971,8.0\n1976,nan\n")
+@example("year,fleet_mveh\n1971,8.0\n1971,9.0\n1976,x\n")  # a parse error after a rule defect
+@example("year,fleet_mveh\n1971,8.0\n1976,x\n1966,9.0\n")  # a rule defect after a parse error
+@example("year,fleet_mveh\n\n \n")
+def test_load_fleet_csv_is_the_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_text(text)
+    assert _load_outcome(load_fleet_csv, path) == _load_outcome(_reference_load, path)
+
+
+def test_load_fleet_csv_names_a_defect_only_for_a_failing_row(tmp_path, monkeypatch):
+    calls = []
+    row_defect = calibration._row_defect
+
+    def counting(*args):
+        calls.append(args)
+        return row_defect(*args)
+
+    monkeypatch.setattr(calibration, "_row_defect", counting)
+    assert len(bundled_uk_fleet_series()) == len(RAC_POINTS)
+    assert calls == []
+    path = tmp_path / "fifth.csv"
+    path.write_text("year,fleet_mveh\n1971,8.0\n1976,10.0\n1981,10.0\n1986,13.0\n1986,16.0\n"
+                    "1996,nan\n")
+    with pytest.raises(ValidationError, match=r"line 6: year 1986 does not follow 1986"):
+        load_fleet_csv(path)
+    assert calls == [(1986, 16.0, 1986, 1971)]

@@ -700,3 +700,14 @@ def test_fresh_process_imports_numpy_only_where_used(tmp_path, argv, loads):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == loads
+
+
+def test_fresh_import_loads_no_submodule_and_no_numpy(tmp_path):
+    # perfbench's set-up times exactly this child for every workload, so
+    # whatever it loads beyond the package's __init__ counts against setup_s.
+    probe = ("import sys, fleetdyn; print(sorted(m for m in sys.modules "
+             "if m.startswith('fleetdyn.') or m.partition('.')[0] == 'numpy'))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
