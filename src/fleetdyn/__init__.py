@@ -17,13 +17,12 @@ _EXPORTS = {
     for module, names in {
         "analytics": (
             "Equilibrium", "SensitivityVector", "StabilityClass", "asymptotic_state",
-            "classify_stability", "discriminant", "finite_difference_sensitivity", "pseudo_log",
+            "classify_stability", "finite_difference_sensitivity", "pseudo_log",
             "sensitivity_conventional", "sensitivity_hydrogen",
         ),
         "calibration": (
-            "FitResult", "FleetSeries", "FuelMassModel", "bundled_uk_fleet_series",
-            "derive_growth_params", "fit_growth", "load_fleet_csv", "mean_error",
-            "pointwise_error",
+            "FitResult", "FleetSeries", "bundled_uk_fleet_series", "fit_growth",
+            "load_fleet_csv", "pointwise_error",
         ),
         "dynamics": (
             "ClassicalLvmParams", "Field", "FleetState", "GrowthParams", "LvmParams", "Trajectory",
@@ -36,7 +35,7 @@ _EXPORTS = {
         ),
         "infrastructure": (
             "DeploymentPlan", "PetrolEquivalence", "StationSpec", "VehicleSpec", "deployment_plan",
-            "petrol_equivalence", "stations_per_year", "vehicles_per_station",
+            "petrol_equivalence", "stations_per_year",
         ),
         "scenarios": (
             "ScenarioSpec", "TargetCheck", "builtin_scenario", "compare_targets",

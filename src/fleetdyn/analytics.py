@@ -2,8 +2,8 @@
 sensitivities of the competition model.
 
 Setting both rates of change to zero reduces the fixed point to a quadratic
-in each fleet; ``discriminant`` is the quadratic discriminant shared by the
-two closed forms. It is never negative: the fixed point always exists.
+in each fleet. The two quadratics share one discriminant delta, reported as
+Equilibrium.delta, and it is never negative: the fixed point always exists.
 Everything else is read off the Jacobian J of the rates there, and needs
 0 < det J < inf: its trace and determinant separate a node (monotone
 approach) from a focus (damped oscillation), and the implicit function
@@ -25,7 +25,6 @@ __all__ = [
     "SensitivityVector",
     "StabilityClass",
     "PARAM_NAMES",
-    "discriminant",
     "classify_stability",
     "asymptotic_state",
     "sensitivity_hydrogen",
@@ -47,7 +46,12 @@ class StabilityClass(Enum):
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Asymptotic fleet sizes (Mveh) and the discriminant they derive from."""
+    """Asymptotic fleet sizes (Mveh) and the discriminant they derive from.
+
+    delta = (a mu_h + eps mu_c - gamma_c gamma_h)^2 + 4 a mu_h gamma_c gamma_h
+    is zero only at the transcritical point mu_h = 0, eps mu_c = gamma_c
+    gamma_h, and inf where delta itself is above the float range.
+    """
 
     x_inf: float
     y_inf: float
@@ -84,20 +88,6 @@ def _root_discriminant(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> float:
     hypot(A + B - G, 2 sqrt(A) sqrt(G)), which squares nothing."""
     a_mu, g_g = a * mu_h, gamma_c * gamma_h
     return math.hypot(a_mu + epsilon * mu_c - g_g, 2.0 * math.sqrt(a_mu) * math.sqrt(g_g))
-
-
-def discriminant(p: LvmParams) -> float:
-    """Discriminant of the fixed-point quadratic, never negative.
-
-    With A = a mu_h, B = eps mu_c and G = gamma_c gamma_h,
-    delta = A^2 + 2AB + 2AG + B^2 + G^2 - 2BG = (A + B - G)^2 + 4AG,
-    so it is zero only where A = 0 and B = G, the transcritical point at
-    which the fixed point exists but det J = 0. It is the square of
-    sqrt(delta) as asymptotic_state takes it, and inf where delta itself
-    is above the float range.
-    """
-    sq = _root_discriminant(*_coefficients(p))
-    return sq * sq  # inf on overflow, where ** 2 would raise
 
 
 def asymptotic_state(p: LvmParams) -> Equilibrium:

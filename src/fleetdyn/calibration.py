@@ -19,16 +19,13 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import _FMAX, _NONNEGATIVE, GrowthParams, Trajectory, _refuse
+from .dynamics import _FMAX, GrowthParams
 from .errors import FitError, ParseError, ValidationError
 
 __all__ = [
     "FleetSeries",
-    "FuelMassModel",
     "FitResult",
-    "derive_growth_params",
     "pointwise_error",
-    "mean_error",
     "fit_growth",
     "load_fleet_csv",
     "bundled_uk_fleet_series",
@@ -107,25 +104,6 @@ def _row_defect(year, value, previous, first) -> str | None:
 
 
 @dataclass(frozen=True)
-class FuelMassModel:
-    """Fuel mass balance for one fleet, all in kg and kg/year.
-
-    m_dot     : total fuel mass consumed per year by the fleet
-    m_i       : fuel mass per vehicle (tank basis)
-    m_i_dot   : fuel mass consumed per vehicle per year
-
-    The model assumes no fuel is wasted, so m_dot is also the total mass rate.
-    """
-
-    m_dot: float
-    m_i: float
-    m_i_dot: float
-
-    def __post_init__(self):
-        _refuse(self, _NONNEGATIVE, "m_dot", "m_i", "m_i_dot")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Fitted growth parameters with the residual statistics of the fit.
 
@@ -149,38 +127,11 @@ class FitResult:
     termination: str
 
 
-def derive_growth_params(f: FuelMassModel) -> GrowthParams:
-    """Map fuel quantities to growth coefficients.
-
-    gamma = m_i_dot / m_i (1/year); mu = m_dot / m_i vehicles/year,
-    converted to Mveh/year. Scaling all masses by a common factor leaves
-    both outputs unchanged.
-    """
-    if f.m_i == 0:
-        raise ValidationError("m_i must be positive to derive growth parameters")
-    gamma = f.m_i_dot / f.m_i
-    mu = f.m_dot / f.m_i / 1e6  # vehicles/year -> Mveh/year
-    return GrowthParams(gamma=gamma, mu=mu)
-
-
 def pointwise_error(x_data: float, x_model: float) -> float:
     """Relative point-wise error |(x_data - x_model) / x_data|."""
     if x_data == 0:
         raise ValidationError("point-wise error is undefined for a zero data value")
     return abs((x_data - x_model) / x_data)
-
-
-def mean_error(data: FleetSeries, model: Trajectory) -> tuple[float, float]:
-    """Mean and population std of point-wise errors at the data years.
-
-    The model total fleet is linearly interpolated in time; every data
-    year must fall inside the trajectory range.
-    """
-    errors = []
-    for year, value in zip(data.years, data.fleet):
-        x, y = model.sample(year)
-        errors.append(pointwise_error(value, x + y))
-    return _mean_std(np.array(errors))
 
 
 def _mean_std(errs) -> tuple[float, float]:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import write_text
+from .dynamics import _FMAX, _refuse
 from .errors import ValidationError
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "HFCRE_VEHICLE",
     "SCENARIO_BINDINGS",
     "PETROL_STATION_THROUGHPUT_KG_PER_YEAR",
-    "vehicles_per_station",
     "vehicles_per_station_exact",
     "stations_per_year",
     "deployment_plan",
@@ -56,6 +56,10 @@ REFUELLINGS_PER_YEAR = 52  # one tank a week
 # 14x (rounded) the output of a large hydrogen station.
 PETROL_STATION_THROUGHPUT_KG_PER_YEAR = 5e6
 
+# The spec field rule, refused through dynamics' _refuse: one chained comparison
+# with the largest float, which an int beyond the float range fails.
+_POSITIVE_FINITE = (lambda v: 0 < v <= _FMAX, "{} must be positive and finite, got {}")
+
 
 @dataclass(frozen=True)
 class StationSpec:
@@ -66,10 +70,7 @@ class StationSpec:
     capex: float  # GBP per station
 
     def __post_init__(self):
-        for name in ("capacity_per_day", "capex"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be positive and finite, got {v}")
+        _refuse(self, _POSITIVE_FINITE, "capacity_per_day", "capex")
 
     @property
     def capacity_per_year(self) -> float:
@@ -85,8 +86,7 @@ class VehicleSpec:
     tank: float  # kg
 
     def __post_init__(self):
-        if not (self.tank > 0 and math.isfinite(self.tank)):
-            raise ValidationError(f"tank must be positive and finite, got {self.tank}")
+        _refuse(self, _POSITIVE_FINITE, "tank")
 
     @property
     def annual_consumption(self) -> float:
@@ -142,13 +142,15 @@ class DeploymentPlan:
         if key not in SCENARIO_BINDINGS:
             raise ValidationError(f"unknown scenario {self.scenario_id!r}; "
                                   f"expected one of {', '.join(SCENARIO_BINDINGS)}")
-        if not (uptake > 0 and math.isfinite(uptake)):
+        if not 0 < uptake <= _FMAX:
             raise ValidationError(f"uptake must be positive and finite, got {uptake}")
-        if horizon_years <= 0:
-            raise ValidationError("horizon must be positive")
+        if not (horizon_years > 0 and horizon_years % 1 == 0):
+            raise ValidationError(
+                f"horizon_years must be a positive whole number, got {horizon_years}")
+        horizon_years = int(horizon_years)
         station, vehicle = SCENARIO_BINDINGS[key]
         vps_exact = vehicles_per_station_exact(station, vehicle, self.basis, utilization)
-        vps_floor = int(math.floor(round(vps_exact, 6)))  # as vehicles_per_station
+        vps_floor = int(math.floor(round(vps_exact, 6)))
         if vps_floor < 1:
             raise ValidationError(f"utilization {utilization:g} leaves {vps_exact:g} vehicles per "
                                   "station; a station must support at least one whole vehicle")
@@ -165,7 +167,7 @@ class DeploymentPlan:
             raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} a year "
                                   "puts the total capex beyond the float range")
         self.__dict__.update(
-            scenario_id=key, station=station, vehicle=vehicle,
+            scenario_id=key, horizon_years=horizon_years, station=station, vehicle=vehicle,
             vehicles_per_station=vps_floor, vehicles_per_station_exact=vps_exact,
             stations_per_year=per_year,
             stations_per_year_conservative=stations_per_year(uptake, vps_floor),
@@ -190,8 +192,9 @@ class PetrolEquivalence:
     equivalent_at_rounded_ratio: int = field(init=False)
 
     def __post_init__(self):
-        if self.total_stations < 0:
-            raise ValidationError("total_stations must be non-negative")
+        if not 0 <= self.total_stations <= _FMAX:
+            raise ValidationError(
+                f"total_stations must be non-negative and finite, got {self.total_stations}")
         petrol, capacity = PETROL_STATION_THROUGHPUT_KG_PER_YEAR, self.station.capacity_per_year
         ratio = petrol / capacity
         rounded = round(ratio)
@@ -220,23 +223,16 @@ def vehicles_per_station_exact(
     raise ValidationError(f"basis must be 'daily' or 'annual', got {basis!r}")
 
 
-def vehicles_per_station(
-    st: StationSpec, v: VehicleSpec, basis: str = "daily", utilization: float = 1.0
-) -> int:
-    """Whole vehicles one station can support (floor of the exact ratio)."""
-    return int(math.floor(round(vehicles_per_station_exact(st, v, basis, utilization), 6)))
-
-
 def stations_per_year(uptake: float, vps: float) -> int:
     """Stations needed each year to cover the vehicle uptake (ceiling).
 
     uptake is in Mveh/year; vps is the per-station support count, either
     the floored integer (conservative) or the exact ratio.
     """
-    if vps <= 0:
-        raise ValidationError("vehicles per station must be positive")
-    if not uptake >= 0:
-        raise ValidationError("uptake must be non-negative")
+    if not 0 < vps <= _FMAX:
+        raise ValidationError(f"vehicles per station must be positive and finite, got {vps}")
+    if not 0 <= uptake <= _FMAX:
+        raise ValidationError(f"uptake must be non-negative and finite, got {uptake}")
     need = uptake * 1e6 / vps
     if not math.isfinite(need):
         raise ValidationError(f"uptake {uptake:g} Mveh/year at {vps:g} vehicles per station "

@@ -22,7 +22,6 @@ from fleetdyn import (
     ValidationError,
     asymptotic_state,
     classify_stability,
-    discriminant,
     finite_difference_sensitivity,
     integrate,
     modified_system,
@@ -52,32 +51,32 @@ def hand_discriminant(p):
 # ------------------------------------------------------------ discriminant
 
 def test_discriminant_published_parameter_sets(tab_grad_params):
-    assert discriminant(tab_grad_params) == pytest.approx(1.6901e-4, rel=1e-10)
-    assert discriminant(MODERATE) == pytest.approx(2.471e-5, rel=1e-10)
+    assert asymptotic_state(tab_grad_params).delta == pytest.approx(1.6901e-4, rel=1e-10)
+    assert asymptotic_state(MODERATE).delta == pytest.approx(2.471e-5, rel=1e-10)
 
 
 def test_discriminant_zero_sources_leaves_squared_term():
     p = LvmParams(gamma_c=0.3, gamma_h=0.2, a=0.1, epsilon=0.4, mu_c=0.0, mu_h=0.0)
-    assert discriminant(p) == pytest.approx((0.3 * 0.2) ** 2, rel=1e-12)
+    assert asymptotic_state(p).delta == pytest.approx((0.3 * 0.2) ** 2, rel=1e-12)
 
 
 def test_discriminant_matches_hand_formula():
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = random_lvm_params(rng)
-        assert discriminant(p) == pytest.approx(hand_discriminant(p), rel=1e-12, abs=1e-300)
+        delta = asymptotic_state(p).delta
+        assert delta == pytest.approx(hand_discriminant(p), rel=1e-12, abs=1e-300)
 
 
 def test_discriminant_finite_where_its_terms_overflow():
     # B = eps mu_c and G = gamma_c gamma_h are 1e200: B^2, G^2 and 2BG
     # overflow, but they cancel and delta = 4AG + A^2 is a finite float.
     p = LvmParams(gamma_c=1e100, gamma_h=1e100, a=1e-100, epsilon=1e100, mu_c=1e100, mu_h=1.0)
-    assert discriminant(p) == pytest.approx(4e100, rel=1e-12)
+    assert asymptotic_state(p).delta == pytest.approx(4e100, rel=1e-12)
     # At a = 1e200 delta itself (about 4.2e399) is above the float range,
     # yet sqrt(delta) is not, and both asymptotes are finite.
-    p = LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 0.65)
-    assert discriminant(p) == math.inf
-    eq = asymptotic_state(p)
+    eq = asymptotic_state(LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 0.65))
+    assert eq.delta == math.inf
     assert eq.y_inf == pytest.approx(65.0, rel=1e-12)
     assert eq.x_inf == pytest.approx(1e-202, rel=1e-12)
 
@@ -88,8 +87,8 @@ def test_discriminant_monotone_in_mu_h_and_a():
         p = random_lvm_params(rng)
         up_mu = LvmParams(p.gamma_c, p.gamma_h, p.a, p.epsilon, p.mu_c, p.mu_h * 1.7)
         up_a = LvmParams(p.gamma_c, p.gamma_h, p.a * 1.7, p.epsilon, p.mu_c, p.mu_h)
-        assert discriminant(up_mu) >= discriminant(p)
-        assert discriminant(up_a) >= discriminant(p)
+        assert asymptotic_state(up_mu).delta >= asymptotic_state(p).delta
+        assert asymptotic_state(up_a).delta >= asymptotic_state(p).delta
 
 
 def test_discriminant_nonnegative_for_valid_params():
@@ -97,7 +96,7 @@ def test_discriminant_nonnegative_for_valid_params():
     # oscillatory regime cannot be reached from the valid parameter domain.
     rng = np.random.default_rng(7)
     for _ in range(200):
-        assert discriminant(random_lvm_params(rng)) >= 0.0
+        assert asymptotic_state(random_lvm_params(rng)).delta >= 0.0
 
 
 # ---------------------------------------------------------------- stability
@@ -119,7 +118,7 @@ TRANSCRITICAL = LvmParams(gamma_c=0.25, gamma_h=0.5, a=0.05, epsilon=0.25, mu_c=
 
 
 def test_degenerate_discriminant_raises():
-    assert discriminant(TRANSCRITICAL) == 0.0
+    assert asymptotic_state(TRANSCRITICAL).delta == 0.0
     with pytest.raises(DegenerateCaseError, match=r"det J = 0\.0"):
         classify_stability(TRANSCRITICAL)
 
@@ -192,7 +191,7 @@ def test_asymptotic_state_matches_printed_formulas():
     rng = np.random.default_rng(8)
     for _ in range(100):
         p = random_lvm_params(rng)
-        sq = math.sqrt(discriminant(p))
+        sq = math.sqrt(asymptotic_state(p).delta)
         num_x = p.a * p.mu_h + p.epsilon * p.mu_c + p.gamma_c * p.gamma_h - sq
         num_y = p.a * p.mu_h + p.epsilon * p.mu_c - p.gamma_c * p.gamma_h + sq
         direct_x = num_x / (2 * p.epsilon * p.gamma_c)
@@ -282,7 +281,7 @@ def test_int_and_float_inputs_give_the_same_equilibrium_or_refusal(values):
 
 def test_hydrogen_gradient_published_value(tab_grad_params):
     grad = sensitivity_hydrogen(tab_grad_params)
-    delta = discriminant(tab_grad_params)
+    delta = asymptotic_state(tab_grad_params).delta
     sq = math.sqrt(delta)
     expected = (0.01 * 0.65 + 0.01 * 0.65 + 0.01 * 0.01 + sq) / (2 * 0.01 * sq)
     assert grad.d_mu_h == pytest.approx(expected, rel=1e-12)
@@ -367,7 +366,7 @@ def test_supply_chain_signs_hold_across_samples():
         assert h.d_mu_h > 0
         assert h.d_mu_c > 0
         assert c.d_mu_h < 0
-        sq = math.sqrt(discriminant(p))
+        sq = math.sqrt(asymptotic_state(p).delta)
         sign_term = -p.a * p.mu_h - p.epsilon * p.mu_c + p.gamma_c * p.gamma_h + sq
         assert c.d_mu_c * sign_term >= 0
 

@@ -1,4 +1,4 @@
-"""Data ingestion, error metric and growth-model fitting."""
+"""Data ingestion, point-wise error and growth-model fitting."""
 
 import csv
 import math
@@ -17,20 +17,13 @@ from fleetdyn import (
     FitError,
     FitResult,
     FleetSeries,
-    FleetState,
-    FuelMassModel,
     GrowthParams,
     ParseError,
-    Trajectory,
     ValidationError,
     bundled_uk_fleet_series,
-    derive_growth_params,
     fit_growth,
     growth_closed_form,
-    growth_system,
-    integrate,
     load_fleet_csv,
-    mean_error,
     pointwise_error,
 )
 
@@ -186,47 +179,6 @@ def test_load_fleet_csv_builds_what_the_public_constructor_builds(tmp_path_facto
     assert series == public and hash(series) == hash(public)
 
 
-def test_fuel_mass_model_validation():
-    m = FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=260.0)
-    assert (m.m_dot, m.m_i, m.m_i_dot) == (1e9, 5.0, 260.0)
-    with pytest.raises(ValidationError):
-        FuelMassModel(m_dot=-1.0, m_i=5.0, m_i_dot=260.0)
-    with pytest.raises(ValidationError):
-        FuelMassModel(m_dot=1e9, m_i=-5.0, m_i_dot=260.0)
-    with pytest.raises(ValidationError):
-        FuelMassModel(m_dot=1e9, m_i=5.0, m_i_dot=math.nan)
-    with pytest.raises(ValidationError, match=r"^m_i must be non-negative, got 1000+$"):
-        FuelMassModel(m_dot=1e9, m_i=10**400, m_i_dot=260.0)
-    ints = FuelMassModel(m_dot=10**9, m_i=5, m_i_dot=260)
-    assert [type(v) for v in vars(ints).values()] == [float] * 3
-
-
-# ------------------------------------------------------- derive growth params
-
-def test_derive_growth_params_tank_basis():
-    # 5 kg tank refuelled weekly: 260 kg/year per vehicle
-    f = FuelMassModel(m_dot=2e9, m_i=5.0, m_i_dot=260.0)
-    p = derive_growth_params(f)
-    assert p.gamma == pytest.approx(52.0, rel=1e-12)
-    assert p.mu == pytest.approx(2e9 / 5.0 / 1e6, rel=1e-12)
-
-
-def test_derive_growth_params_scale_invariance():
-    base = FuelMassModel(m_dot=3e8, m_i=40.0, m_i_dot=600.0)
-    scaled = FuelMassModel(m_dot=3e8 * 7.5, m_i=40.0 * 7.5, m_i_dot=600.0 * 7.5)
-    p0, p1 = derive_growth_params(base), derive_growth_params(scaled)
-    assert p1.gamma == pytest.approx(p0.gamma, rel=1e-12)
-    assert p1.mu == pytest.approx(p0.mu, rel=1e-12)
-
-
-def test_derive_growth_params_zero_rate_rejected_downstream():
-    f = FuelMassModel(m_dot=2e9, m_i=5.0, m_i_dot=0.0)
-    with pytest.raises(ValidationError):
-        derive_growth_params(f)  # gamma = 0 violates GrowthParams
-    with pytest.raises(ValidationError):
-        derive_growth_params(FuelMassModel(m_dot=2e9, m_i=0.0, m_i_dot=260.0))
-
-
 # ------------------------------------------------------------ pointwise error
 
 def test_pointwise_error_values():
@@ -239,30 +191,6 @@ def test_pointwise_error_values():
 
 # ---------------------------------------------------------------- mean error
 
-def published_params_trajectory():
-    return integrate(
-        growth_system(GrowthParams(0.01, 0.65)), FleetState(1960.0, 0.38, 0.0), 2020.0, 0.1
-    )
-
-
-def test_mean_error_zero_when_model_equals_data():
-    years = np.arange(2000, 2011)
-    values = np.linspace(10.0, 20.0, 11)
-    traj = Trajectory(2000.0, 1.0, 2010.0, values, np.zeros(11))
-    data = FleetSeries(years, values)
-    m, s = mean_error(data, traj)
-    assert m == 0.0 and s == 0.0
-
-
-def test_mean_error_uniform_shift():
-    years = np.arange(2000, 2011)
-    values = np.linspace(10.0, 20.0, 11)
-    traj = Trajectory(2000.0, 1.0, 2010.0, values * 1.01, np.zeros(11))
-    m, s = mean_error(FleetSeries(years, values), traj)
-    assert m == pytest.approx(0.01, rel=1e-9)
-    assert s == pytest.approx(0.0, abs=1e-12)
-
-
 def test_mean_error_rac_against_published_parameters():
     # Independent oracle: direct point-by-point evaluation of the closed
     # form at the ten data years. The published 0.07% +- 0.03% average
@@ -272,31 +200,6 @@ def test_mean_error_rac_against_published_parameters():
         [abs((v - growth_closed_form(p, 0.38, y - 1960.0)) / v) for y, v in RAC_POINTS]
     )
     assert errs.mean() == pytest.approx(0.09523814, abs=1e-6)
-
-    data = make_series(RAC_POINTS)
-    m, s = mean_error(data, published_params_trajectory())
-    assert m == pytest.approx(errs.mean(), rel=1e-9)
-    assert s == pytest.approx(errs.std(), rel=1e-9)
-
-
-def test_mean_error_invariances():
-    data = make_series(RAC_POINTS)
-    traj = published_params_trajectory()
-    m, s = mean_error(data, traj)
-    # reordering cannot happen inside FleetSeries (sorted years), but a
-    # common rescaling of both sides must leave the metric unchanged
-    scaled_data = FleetSeries(data.years, np.asarray(data.fleet) * 3.0)
-    scaled_traj = Trajectory(traj.t0, traj.dt, traj.t_end,
-                             np.asarray(traj.x) * 3.0, np.asarray(traj.y) * 3.0)
-    m2, s2 = mean_error(scaled_data, scaled_traj)
-    assert m2 == pytest.approx(m, rel=1e-12)
-    assert s2 == pytest.approx(s, rel=1e-12)
-
-
-def test_mean_error_requires_coverage():
-    data = make_series([(1950, 5.0), (1971, 8.0)])
-    with pytest.raises(ValidationError):
-        mean_error(data, published_params_trajectory())
 
 
 # ----------------------------------------------------------------- fit
@@ -694,16 +597,6 @@ def test_fit_error_statistics_are_numpys_mean_and_std(monkeypatch):
     monkeypatch.setattr(calibration, "_mean_std", numpys)
     assert fits == [fitted(data) for data in corpus]
     assert len(calls) == len(corpus)
-
-
-def test_mean_error_is_numpys_mean_and_std_of_the_pointwise_errors():
-    for data in _fit_corpus(40):
-        n0 = data.fleet[0]
-        traj = integrate(growth_system(GrowthParams(0.05, 0.1 * n0)),
-                         FleetState(float(data.years[0]), n0, 0.0), float(data.years[-1]), 0.5)
-        errs = np.array([pointwise_error(v, sum(traj.sample(y)))
-                         for y, v in zip(data.years, data.fleet)])
-        assert bits(mean_error(data, traj)) == bits((errs.mean(), errs.std()))
 
 
 # ---------------------------------------------- fit against the profile SSR

@@ -1,7 +1,8 @@
-"""Public names: every module's __all__ resolves, and the package root
-re-exports only names its modules declare public (a module without
-__all__ exports its names without a leading underscore, as import * does),
-and no error class outlives the code that raises it."""
+"""Public names: every module's __all__ resolves and has a caller, the
+package root re-exports only names its modules declare public (a module
+without __all__ exports its names without a leading underscore, as import *
+does), no error class outlives the code that raises it, and no module
+imports a name it does not use."""
 
 import ast
 import importlib.util
@@ -13,6 +14,8 @@ import fleetdyn
 from fleetdyn import errors
 
 MODULES = ["analytics", "calibration", "cli", "dynamics", "errors", "infrastructure", "scenarios"]
+PACKAGE = Path(fleetdyn.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,6 +52,61 @@ def test_package_dir_lists_exports_and_unknown_names_raise():
     assert fresh.LvmParams is fleetdyn.LvmParams
     with pytest.raises(AttributeError, match="module 'fleetdyn' has no attribute 'no_such_name'"):
         fresh.no_such_name
+
+
+def loaded_names(tree):
+    """The names a module loads: bare names, and attributes of the package or of
+    a submodule it binds (`import fleetdyn as fd`, `from . import scenarios`)."""
+    aliases = {"fleetdyn"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name.startswith("fleetdyn")}
+        elif isinstance(node, ast.ImportFrom) and (node.module == "fleetdyn" or
+                                                   node.level and node.module is None):
+            aliases |= {a.asname or a.name for a in node.names if a.name in MODULES}
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and (isinstance(node, ast.Name)
+             or isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that neither the package, the benchmark nor the
+    # acceptance suite loads is surface without a caller. Reading a field of
+    # the same name (plan.vehicles_per_station) does not count.
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [path for path in (REPO / "perfbench").glob("*.py")
+                if not path.name.startswith("test_")]
+    sources.append(REPO / "tests" / "test_acceptance.py")
+    loaded = set()
+    for path in sources:
+        loaded |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = {
+        (name, public) for name in MODULES
+        for public in getattr(importlib.import_module(f"fleetdyn.{name}"), "__all__", [])
+        if public not in loaded
+    }
+    assert uncalled == set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_top_level_import_is_used(path):
+    # The check a linter would make: a module-level import that no name in
+    # the module loads (or that its __all__ does not re-export) is a leftover.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            used |= {elt.value for elt in getattr(node.value, "elts", [])}
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if getattr(node, "module", None) != "__future__"
+    }
+    assert bound - used == set()
 
 
 def test_every_error_class_has_a_raiser():

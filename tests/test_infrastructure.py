@@ -16,7 +16,6 @@ from fleetdyn import (
     deployment_plan,
     petrol_equivalence,
     stations_per_year,
-    vehicles_per_station,
 )
 from fleetdyn.infrastructure import (
     HFC_VEHICLE,
@@ -37,29 +36,29 @@ def test_station_specs_satisfy_yearly_invariant():
     assert SMALL_STATION.capacity_per_year == 365 * SMALL_STATION.capacity_per_day == 73000
     assert LARGE_STATION.capacity_per_year == 365 * LARGE_STATION.capacity_per_day == 365000
     assert SMALL_STATION.capex == 1e6 and LARGE_STATION.capex == 5e6
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError):
+    for bad in (0.0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValidationError, match="^capex must be positive and finite"):
             StationSpec("small", 200.0, bad)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^capacity_per_day must be positive and finite"):
             StationSpec("small", bad, 1e6)
+    ints = StationSpec("small", 200, 10**6)
+    assert ints == SMALL_STATION and type(ints.capex) is float
 
 
 def test_vehicle_specs_weekly_refuelling_invariant():
     assert HFC_VEHICLE.annual_consumption == 52 * HFC_VEHICLE.tank == 260
     assert HFCRE_VEHICLE.annual_consumption == 52 * HFCRE_VEHICLE.tank == 78
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError):
+    for bad in (0.0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValidationError, match="^tank must be positive and finite"):
             VehicleSpec("hfc", bad)
 
 
 # ------------------------------------------------------- vehicles per station
 
 def test_vehicles_per_station_daily_fill_counts():
-    assert vehicles_per_station(SMALL_STATION, HFC_VEHICLE) == 40
-    assert vehicles_per_station(SMALL_STATION, HFCRE_VEHICLE) == 133
-    assert vehicles_per_station(LARGE_STATION, HFC_VEHICLE) == 200
-    # floor gives 666; the published rounding is the nearest value 667
-    assert vehicles_per_station(LARGE_STATION, HFCRE_VEHICLE) == 666
+    counts = {sid: deployment_plan(sid).vehicles_per_station for sid in SCENARIO_BINDINGS}
+    # S4 floors to 666; the published rounding is the nearest value 667
+    assert counts == {"S1": 40, "S2": 133, "S3": 200, "S4": 666}
     exact = vehicles_per_station_exact(LARGE_STATION, HFCRE_VEHICLE)
     assert exact == pytest.approx(1000.0 / 1.5, rel=1e-12)
     assert round(exact) == 667
@@ -70,15 +69,15 @@ def test_vehicles_per_station_annual_model_is_seven_fold():
     daily = vehicles_per_station_exact(SMALL_STATION, HFC_VEHICLE)
     annual = vehicles_per_station_exact(SMALL_STATION, HFC_VEHICLE, basis="annual")
     assert annual == pytest.approx(daily * 365.0 / 52.0, rel=1e-12)
-    assert vehicles_per_station(SMALL_STATION, HFC_VEHICLE, basis="annual") == 280
+    assert deployment_plan("S1", basis="annual").vehicles_per_station == 280
 
 
 def test_vehicles_per_station_utilization_scales():
-    assert vehicles_per_station(SMALL_STATION, HFC_VEHICLE, utilization=0.5) == 20
-    with pytest.raises(ValidationError):
-        vehicles_per_station(SMALL_STATION, HFC_VEHICLE, utilization=0.0)
-    with pytest.raises(ValidationError):
-        vehicles_per_station(SMALL_STATION, HFC_VEHICLE, basis="weekly")
+    assert deployment_plan("S1", utilization=0.5).vehicles_per_station == 20
+    with pytest.raises(ValidationError, match="utilization must be in"):
+        deployment_plan("S1", utilization=0.0)
+    with pytest.raises(ValidationError, match="basis must be 'daily' or 'annual'"):
+        deployment_plan("S1", basis="weekly")
 
 
 # --------------------------------------------------------- stations per year
@@ -90,8 +89,12 @@ def test_stations_per_year_published_counts():
     assert stations_per_year(0.35, 133) == 2632
     assert stations_per_year(0.35, 1000.0 / 1.5) == 525
     assert stations_per_year(0.35, 667) == 525
-    with pytest.raises(ValidationError):
-        stations_per_year(0.35, 0)
+    for bad in (0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValidationError, match="^vehicles per station must be positive and"):
+            stations_per_year(0.35, bad)
+    for bad in (-1.0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValidationError, match="^uptake must be non-negative and finite"):
+            stations_per_year(bad, 40)
 
 
 def test_stations_per_year_ceiling_covers_demand():
@@ -145,10 +148,24 @@ def test_deployment_plan_bindings_and_validation():
         deployment_plan("S1", horizon_years=0)
 
 
-@pytest.mark.parametrize("uptake", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("uptake", [math.inf, -math.inf, math.nan,
+                                    pytest.param(10**400, id="int-beyond-float")])
 def test_deployment_plan_rejects_non_finite_uptake(uptake):
     with pytest.raises(ValidationError, match=f"uptake must be positive and finite, got {uptake}"):
         deployment_plan("S2", uptake=uptake)
+
+
+@pytest.mark.parametrize("horizon", [0, -3, 2.5, math.nan, math.inf, -math.inf])
+def test_deployment_plan_refuses_a_horizon_that_is_not_a_positive_whole_number(horizon):
+    with pytest.raises(ValidationError,
+                       match=f"^horizon_years must be a positive whole number, got {horizon}$"):
+        deployment_plan("S1", horizon_years=horizon)
+
+
+def test_deployment_plan_counts_whole_years():
+    plan = deployment_plan("S1", horizon_years=30.0)
+    assert plan == deployment_plan("S1", horizon_years=30)
+    assert type(plan.horizon_years) is type(plan.total_stations) is int
 
 
 def test_deployment_cost_ordering():
@@ -232,7 +249,7 @@ def test_plan_fields_are_the_free_functions_of_its_inputs(sid, uptake, horizon, 
             plan.utilization) == (sid.strip().upper(), uptake, horizon, basis, util)
     station, vehicle = SCENARIO_BINDINGS[plan.scenario_id]
     exact = vehicles_per_station_exact(station, vehicle, basis, util)
-    floor = vehicles_per_station(station, vehicle, basis, util)
+    floor = int(math.floor(round(exact, 6)))
     per_year = stations_per_year(uptake, exact)
     assert (plan.station, plan.vehicle) == (station, vehicle)
     assert (plan.vehicles_per_station_exact, plan.vehicles_per_station) == (exact, floor)
@@ -258,8 +275,10 @@ def test_petrol_equivalence_zero_and_validation():
     eq = petrol_equivalence(0, LARGE_STATION)
     assert eq.equivalent_exact == 0.0
     assert eq.equivalent_at_rounded_ratio == 0
-    with pytest.raises(ValidationError):
-        petrol_equivalence(-1, LARGE_STATION)
+    for bad in (-1, math.nan, math.inf, 10**400):
+        with pytest.raises(ValidationError,
+                           match="^total_stations must be non-negative and finite, got"):
+            petrol_equivalence(bad, LARGE_STATION)
 
 
 def test_petrol_equivalence_holds_its_inputs_and_derives_the_rest():
