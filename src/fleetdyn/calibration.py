@@ -63,6 +63,8 @@ class FleetSeries:
             fleet = tuple(map(float, self.fleet))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"years and fleet must be sequences of numbers: {exc}") from exc
+        except OverflowError as exc:  # an int beyond the float range
+            raise ValidationError(f"years and fleet must be finite numbers: {exc}") from exc
         if not 0 < len(years) == len(fleet):
             raise ValidationError("years and fleet must be non-empty and of equal length, "
                                   f"got {len(years)} and {len(fleet)}")

@@ -46,27 +46,39 @@ RK4_REAL_BOUND = 2.785293563
 # about 97 MB of Python-side allocations (tracemalloc, CPython 3.11).
 _MAX_STEPS = 10**6
 
-# Field rules of the value types, (test, refusal text) with one chained test:
-# for a float, 0 < v <= _FMAX holds exactly where v > 0 and v is finite, and an
-# int beyond the float range fails it instead of overflowing math.isfinite.
-# A value that passes is stored as float(v), so an int computes as its float does.
-_FMAX = sys.float_info.max
-_POSITIVE = (lambda v: 0 < v <= _FMAX, "{} must be strictly positive, got {}")
-_NONNEGATIVE = (lambda v: 0 <= v <= _FMAX, "{} must be non-negative, got {}")
-_FINITE = (lambda v: -_FMAX <= v <= _FMAX, "FleetState.{} must be finite, got {}")
+# The range rules, (lo, hi, refusal text): a value v passes where lo <= v <= hi.
+# For a float or an int, v >= _TINY, the least positive float, holds exactly
+# where v > 0, and v <= _FMAX holds for a float exactly where v < inf; an int
+# beyond the float range fails the comparison instead of overflowing math.isfinite.
+_FMAX, _TINY = sys.float_info.max, math.ulp(0.0)
+_POSITIVE = (_TINY, _FMAX, "{} must be strictly positive, got {}")
+_NONNEGATIVE = (0.0, _FMAX, "{} must be non-negative, got {}")
+_FINITE = (-_FMAX, _FMAX, "{} must be finite, got {}")
+_POSITIVE_FINITE = (_TINY, _FMAX, "{} must be positive and finite, got {}")
+_NONNEGATIVE_FINITE = (0.0, _FMAX, "{} must be non-negative and finite, got {}")
+_STATE_FINITE = (-_FMAX, _FMAX, "FleetState.{} must be finite, got {}")
+
+
+def _shown(v) -> str:
+    """str(v), or a phrase for an int past sys.get_int_max_str_digits(), which str() refuses."""
+    try:
+        return str(v)
+    except ValueError:
+        return "an int too long to print"
+
+
+def _checked(rule, name, v) -> float:
+    """float(v) for a v that passes rule; otherwise the ValidationError naming it."""
+    lo, hi, text = rule
+    if not lo <= v <= hi:
+        raise ValidationError(text.format(name, _shown(v)))
+    return float(v)
 
 
 def _refuse(obj, rule, *names):
     """Refuse the first of names whose value breaks rule; store the values as floats."""
     for name in names:
-        v = getattr(obj, name)
-        if not rule[0](v):
-            try:
-                shown = str(v)
-            except ValueError:  # an int above sys.get_int_max_str_digits() digits
-                shown = "an int too long to print"
-            raise ValidationError(rule[1].format(name, shown))
-        object.__setattr__(obj, name, float(v))
+        object.__setattr__(obj, name, _checked(rule, name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -128,15 +140,8 @@ class LvmParams:
     mu_h: float
 
     def __post_init__(self):
-        # The rules spelt out inline, as the FD verifier builds 12 of these per call; a value
-        # that is not a float (an int, a numpy scalar) goes to _refuse to be stored as one.
-        if not (0 < self.gamma_c <= _FMAX and 0 < self.gamma_h <= _FMAX and 0 < self.a <= _FMAX
-                and 0 < self.epsilon <= _FMAX and 0 <= self.mu_c <= _FMAX
-                and 0 <= self.mu_h <= _FMAX and type(self.gamma_c) is type(self.gamma_h)
-                is type(self.a) is type(self.epsilon) is type(self.mu_c) is type(self.mu_h)
-                is float):
-            _refuse(self, _POSITIVE, "gamma_c", "gamma_h", "a", "epsilon")
-            _refuse(self, _NONNEGATIVE, "mu_c", "mu_h")
+        _refuse(self, _POSITIVE, "gamma_c", "gamma_h", "a", "epsilon")
+        _refuse(self, _NONNEGATIVE, "mu_c", "mu_h")
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ class FleetState:
     y: float
 
     def __post_init__(self):
-        _refuse(self, _FINITE, "t", "x", "y")
+        _refuse(self, _STATE_FINITE, "t", "x", "y")
 
     def require_nonnegative(self) -> "FleetState":
         if self.x < 0 or self.y < 0:
@@ -300,14 +305,12 @@ def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
     """The uniform grid from t0 to t_end: n_full steps of dt, then one
     shortened step of `remainder` when remainder > 0.
 
-    Raises ValidationError for a non-finite t_end or dt, a t_end not past
-    t0, more than _MAX_STEPS steps, or a dt too small to tell grid times
-    apart.
+    Raises ValidationError for a t_end or dt that is nan, infinite or an int
+    beyond the float range, a t_end not past t0, more than _MAX_STEPS steps,
+    or a dt too small to tell grid times apart.
     """
-    if not (dt > 0 and isfinite(dt)):
-        raise ValidationError(f"dt must be positive and finite, got {dt}")
-    if not isfinite(t_end):
-        raise ValidationError(f"t_end must be finite, got {t_end}")
+    _checked(_POSITIVE_FINITE, "dt", dt)
+    _checked(_FINITE, "t_end", t_end)
     if not t_end > t0:
         raise ValidationError(f"t_end ({t_end}) must exceed the initial time ({t0})")
 
@@ -342,9 +345,9 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
 
     The final step is shortened when (t_end - s0.t) is not a whole number
     of steps. Negative components are not clamped, so that blow-up regimes
-    stay visible. Raises ValidationError for a non-finite t_end or dt, or
-    for more than _MAX_STEPS steps, and IntegrationError if the state stops
-    being finite.
+    stay visible. Raises ValidationError for a t_end or dt that is nan,
+    infinite or an int beyond the float range, or for more than _MAX_STEPS
+    steps, and IntegrationError if the state stops being finite.
     """
     n_full, remainder = _grid(s0.t, dt, t_end)
     # As floats: numpy scalars would step 3x slower and warn on overflow.

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import write_text
-from .dynamics import _FMAX, _refuse
+from .dynamics import _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _checked, _refuse, _shown
 from .errors import ValidationError
 
 __all__ = [
@@ -55,11 +55,6 @@ REFUELLINGS_PER_YEAR = 52  # one tank a week
 # A typical petrol filling station delivers about 5 Mkg of fuel a year,
 # 14x (rounded) the output of a large hydrogen station.
 PETROL_STATION_THROUGHPUT_KG_PER_YEAR = 5e6
-
-# The spec field rule, refused through dynamics' _refuse: one chained comparison
-# with the largest float, which an int beyond the float range fails.
-_POSITIVE_FINITE = (lambda v: 0 < v <= _FMAX, "{} must be positive and finite, got {}")
-
 
 @dataclass(frozen=True)
 class StationSpec:
@@ -142,11 +137,10 @@ class DeploymentPlan:
         if key not in SCENARIO_BINDINGS:
             raise ValidationError(f"unknown scenario {self.scenario_id!r}; "
                                   f"expected one of {', '.join(SCENARIO_BINDINGS)}")
-        if not 0 < uptake <= _FMAX:
-            raise ValidationError(f"uptake must be positive and finite, got {uptake}")
+        _checked(_POSITIVE_FINITE, "uptake", uptake)
         if not (horizon_years > 0 and horizon_years % 1 == 0):
             raise ValidationError(
-                f"horizon_years must be a positive whole number, got {horizon_years}")
+                f"horizon_years must be a positive whole number, got {_shown(horizon_years)}")
         horizon_years = int(horizon_years)
         station, vehicle = SCENARIO_BINDINGS[key]
         vps_exact = vehicles_per_station_exact(station, vehicle, self.basis, utilization)
@@ -164,8 +158,8 @@ class DeploymentPlan:
         except OverflowError:  # an int horizon beyond the float range
             total_capex = math.inf
         if not math.isfinite(total_capex):
-            raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} a year "
-                                  "puts the total capex beyond the float range")
+            raise ValidationError(f"horizon {_shown(horizon_years)} years at GBP {annual_capex:g} "
+                                  "a year puts the total capex beyond the float range")
         self.__dict__.update(
             scenario_id=key, horizon_years=horizon_years, station=station, vehicle=vehicle,
             vehicles_per_station=vps_floor, vehicles_per_station_exact=vps_exact,
@@ -192,14 +186,15 @@ class PetrolEquivalence:
     equivalent_at_rounded_ratio: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.total_stations <= _FMAX:
-            raise ValidationError(
-                f"total_stations must be non-negative and finite, got {self.total_stations}")
+        _checked(_NONNEGATIVE_FINITE, "total_stations", self.total_stations)
         petrol, capacity = PETROL_STATION_THROUGHPUT_KG_PER_YEAR, self.station.capacity_per_year
+        equivalent = self.total_stations * capacity / petrol
+        if not math.isfinite(equivalent):
+            raise ValidationError(f"total_stations {self.total_stations:g} at {capacity:g} kg/year "
+                                  "each puts the petrol equivalent beyond the float range")
         ratio = petrol / capacity
         rounded = round(ratio)
-        self.__dict__.update(ratio_exact=ratio,
-                             equivalent_exact=self.total_stations * capacity / petrol,
+        self.__dict__.update(ratio_exact=ratio, equivalent_exact=equivalent,
                              rounded_ratio=rounded,
                              equivalent_at_rounded_ratio=round(self.total_stations / rounded))
 
@@ -215,7 +210,7 @@ def vehicles_per_station_exact(
 ) -> float:
     """Unrounded vehicles one station can support."""
     if not 0 < utilization <= 1:
-        raise ValidationError(f"utilization must be in (0, 1], got {utilization}")
+        raise ValidationError(f"utilization must be in (0, 1], got {_shown(utilization)}")
     if basis == "daily":
         return st.capacity_per_day * utilization / v.tank
     if basis == "annual":
@@ -229,10 +224,8 @@ def stations_per_year(uptake: float, vps: float) -> int:
     uptake is in Mveh/year; vps is the per-station support count, either
     the floored integer (conservative) or the exact ratio.
     """
-    if not 0 < vps <= _FMAX:
-        raise ValidationError(f"vehicles per station must be positive and finite, got {vps}")
-    if not 0 <= uptake <= _FMAX:
-        raise ValidationError(f"uptake must be non-negative and finite, got {uptake}")
+    _checked(_POSITIVE_FINITE, "vehicles per station", vps)
+    _checked(_NONNEGATIVE_FINITE, "uptake", uptake)
     need = uptake * 1e6 / vps
     if not math.isfinite(need):
         raise ValidationError(f"uptake {uptake:g} Mveh/year at {vps:g} vehicles per station "

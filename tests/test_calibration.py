@@ -92,6 +92,10 @@ def test_fleet_series_refuses_mismatched_or_empty_input():
         FleetSeries((), ())
     with pytest.raises(ValidationError, match=r"^years and fleet must be sequences of numbers"):
         FleetSeries((1971, 1976), (8.0, "ten"))
+    for big in (10**400, -10**400, 2**1024, 10**5000):
+        with pytest.raises(ValidationError, match=r"^years and fleet must be finite numbers: "
+                                                  r"int too large to convert to float$"):
+            FleetSeries((1971, 1976), (big, 10.0))
 
 
 def _write_rows(path, rows):

@@ -5,6 +5,8 @@ import itertools
 import math
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from hypothesis import strategies as st
 from conftest import bits, numpy_grid, random_trajectories
 from fleetdyn import (
     ClassicalLvmParams,
+    DeploymentPlan,
     Field,
     FleetState,
     GrowthParams,
     IntegrationError,
     LvmParams,
+    PetrolEquivalence,
+    ScenarioSpec,
     Trajectory,
     ValidationError,
     classical_system,
@@ -27,8 +32,10 @@ from fleetdyn import (
     integrate,
     lv_conserved_quantity,
     modified_system,
+    stations_per_year,
 )
 from fleetdyn.dynamics import _grid
+from fleetdyn.infrastructure import LARGE_STATION
 
 GROWTH = GrowthParams(gamma=0.01, mu=0.65)
 ZERO = Field(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -143,15 +150,19 @@ def test_one_comparison_agrees_with_the_per_field_rule_on_any_floats(cls, data):
     _check_against_the_reference(cls, {name: data.draw(floats) for name in _FIELD_RULES[cls]})
 
 
-@pytest.mark.parametrize("cls, name", [
-    (cls, name) for cls, rules in _FIELD_RULES.items() for name in rules
-], ids=lambda x: getattr(x, "__name__", x))
-@pytest.mark.parametrize("big, shown", [
+_BIG_INTS = pytest.mark.parametrize("big, shown", [
     (10**400, "1" + "0" * 400),
     (-10**400, "-1" + "0" * 400),
     (2**1024, str(2**1024)),
     (10**5000, "an int too long to print"),  # str() refuses it, past 4300 digits
-], ids=["1e400", "-1e400", "2**1024", "1e5000"])
+    (-10**5000, "an int too long to print"),
+], ids=["1e400", "-1e400", "2**1024", "1e5000", "-1e5000"])
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, name) for cls, rules in _FIELD_RULES.items() for name in rules
+], ids=lambda x: getattr(x, "__name__", x))
+@_BIG_INTS
 def test_value_types_refuse_an_int_beyond_the_float_range(cls, name, big, shown):
     values = dict.fromkeys(_FIELD_RULES[cls], 0.5)
     values[name] = big
@@ -162,6 +173,59 @@ def test_value_types_refuse_an_int_beyond_the_float_range(cls, name, big, shown)
     values[name] = 10**300  # an int inside the float range passes, stored as a float
     stored = getattr(cls(**values), name)
     assert type(stored) is float and stored == 1e300
+
+
+
+@pytest.mark.parametrize("tiny", [Fraction(1, 10**400), Decimal("1e-400")],
+                         ids=["Fraction", "Decimal"])
+def test_a_rate_refuses_a_positive_value_that_would_be_stored_as_zero(tiny):
+    # tiny > 0, but float(tiny) == 0.0: a rate must stay strictly positive
+    with pytest.raises(ValidationError) as exc:
+        GrowthParams(tiny, 0.65)
+    assert str(exc.value) == f"gamma must be strictly positive, got {tiny}"
+    assert GrowthParams(0.01, tiny).mu == 0.0  # a source may be zero
+
+
+# Every other entry point that takes a number through dynamics' range check:
+# a call with the number, and its refusal text with the number shown, or
+# (text above the float range, text below it) where the two differ.
+_START = FleetState(2020.0, 1.0, 0.0)
+_MODERATE = LvmParams(0.01, 0.01, 0.005, 0.005, 0.65, 0.35)
+_ENTRY_POINTS = {
+    "integrate-t_end": (lambda v: integrate(ZERO, _START, v, 0.1),
+                        "t_end must be finite, got {}"),
+    "integrate-dt": (lambda v: integrate(ZERO, _START, 2100.0, v),
+                     "dt must be positive and finite, got {}"),
+    "ScenarioSpec-t_end": (lambda v: ScenarioSpec("big", _MODERATE, _START, v, 0.1),
+                           "t_end must be finite, got {}"),
+    "ScenarioSpec-dt": (lambda v: ScenarioSpec("big", _MODERATE, _START, 2100.0, v),
+                        "dt must be positive and finite, got {}"),
+    "stations_per_year-vps": (lambda v: stations_per_year(0.35, v),
+                              "vehicles per station must be positive and finite, got {}"),
+    "stations_per_year-uptake": (lambda v: stations_per_year(v, 40.0),
+                                 "uptake must be non-negative and finite, got {}"),
+    "DeploymentPlan-uptake": (lambda v: DeploymentPlan("S1", uptake=v),
+                              "uptake must be positive and finite, got {}"),
+    "DeploymentPlan-horizon_years": (
+        lambda v: DeploymentPlan("S1", horizon_years=v),
+        ("horizon {} years at GBP 8.75e+09 a year puts the total capex beyond the float range",
+         "horizon_years must be a positive whole number, got {}")),
+    "DeploymentPlan-utilization": (lambda v: DeploymentPlan("S1", utilization=v),
+                                   "utilization must be in (0, 1], got {}"),
+    "PetrolEquivalence-total_stations": (lambda v: PetrolEquivalence(v, LARGE_STATION),
+                                         "total_stations must be non-negative and finite, got {}"),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@_BIG_INTS
+def test_entry_points_refuse_an_int_beyond_the_float_range(entry, big, shown):
+    call, text = _ENTRY_POINTS[entry]
+    if isinstance(text, tuple):
+        text = text[big < 0]
+    with pytest.raises(ValidationError) as exc:
+        call(big)
+    assert str(exc.value) == text.format(shown)
 
 
 def test_trajectory_validation():

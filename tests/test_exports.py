@@ -145,13 +145,13 @@ def opens_for_writing(call):
     return not isinstance(mode, ast.Constant) or bool(WRITE_MODES & set(mode.value))
 
 
-def calls_by_function(node, name=None):
-    """(innermost enclosing function name or None, call) for each call under node."""
+def nodes_by_function(node, kind, name=None):
+    """(innermost enclosing function name or None, node) for each node of kind under node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield name, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
-        yield from calls_by_function(child, inner)
+        yield from nodes_by_function(child, kind, inner)
 
 
 def test_only_write_text_opens_files_for_writing():
@@ -160,10 +160,35 @@ def test_only_write_text_opens_files_for_writing():
     writers = {
         (path.name, func)
         for path in Path(fleetdyn.__file__).parent.glob("*.py")
-        for func, call in calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        for func, call in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")), ast.Call)
         if opens_for_writing(call)
     }
     assert writers == {("_files.py", "write_text")}
+
+
+def is_largest_float(node):
+    """Whether node is the largest float by name: `_FMAX` or `sys.float_info.max`."""
+    if isinstance(node, ast.Name):
+        return node.id == "_FMAX"
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "_FMAX"
+        or node.attr == "max" and getattr(node.value, "attr", None) == "float_info")
+
+
+def test_only_dynamics_compares_with_the_largest_float():
+    # The range rules and their one check, _checked, live in dynamics. A
+    # comparison with the largest float elsewhere is a second copy of the
+    # rule, allowed only in the two per-row and per-probe checks whose speed
+    # the study benchmark measures.
+    sites = {
+        (path.stem, func)
+        for path in PACKAGE.glob("*.py") if path.stem != "dynamics"
+        for func, cmp in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                           ast.Compare)
+        if any(map(is_largest_float, ast.walk(cmp)))
+    }
+    assert sites - {("calibration", "load_fleet_csv"),
+                    ("analytics", "finite_difference_sensitivity")} == set()
 
 
 def test_series_entry_points_do_not_use_numpy():

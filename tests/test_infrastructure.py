@@ -279,6 +279,10 @@ def test_petrol_equivalence_zero_and_validation():
         with pytest.raises(ValidationError,
                            match="^total_stations must be non-negative and finite, got"):
             petrol_equivalence(bad, LARGE_STATION)
+    # finite, but 1e308 stations of 365000 kg/year overflow the equivalent
+    with pytest.raises(ValidationError, match=r"^total_stations 1e\+308 at 365000 kg/year each "
+                                              "puts the petrol equivalent beyond the float range$"):
+        petrol_equivalence(1e308, LARGE_STATION)
 
 
 def test_petrol_equivalence_holds_its_inputs_and_derives_the_rest():
