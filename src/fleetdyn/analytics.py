@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import _FMAX, LvmParams
+from .dynamics import _FMAX, _POSITIVE_FINITE, LvmParams, _checked
 from .errors import DegenerateCaseError, OracleError, ValidationError
 
 __all__ = [
@@ -216,9 +216,7 @@ def finite_difference_sensitivity(
     breaks the rule builds the LvmParams whose refusal the OracleError
     carries. Each + probe is checked and solved before its - probe.
     """
-    if not h_rel > 0:
-        raise ValidationError(f"h_rel must be positive, got {h_rel}")
-
+    h_rel = _checked(_POSITIVE_FINITE, "h_rel", h_rel)
     base = _coefficients(p)
     grads_h, grads_c = [], []
     # PARAM_NAMES is the field order reversed; the last two fields are the sources

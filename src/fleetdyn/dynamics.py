@@ -150,8 +150,10 @@ class FleetState:
 
     Physically meaningful states have x >= 0 and y >= 0; this is enforced
     where states enter as user input (require_nonnegative) but not on
-    integrator output, so that parameter regimes driving a fleet negative
-    are surfaced in the trajectory rather than masked.
+    integrator output: from a non-negative state the exact flow of the
+    growth, classical or competition model (mu >= 0) stays non-negative and
+    bounded, so a negative or runaway sample is step error, and a general
+    Field can still blow up, which a clamp would hide.
     """
 
     t: float
@@ -235,7 +237,8 @@ class Trajectory:
     def sample(self, t: float) -> tuple[float, float]:
         """(x, y) at t in range: np.interp's value, bit for bit."""
         if not self.t0 <= t <= self.t_end:
-            raise ValidationError(f"time {t} outside trajectory range [{self.t0}, {self.t_end}]")
+            raise ValidationError(
+                f"time {_shown(t)} outside trajectory range [{self.t0}, {self.t_end}]")
         return self._sample_many((t,))[0][1:]
 
     def _sample_many(self, times) -> list[tuple[float, float, float]]:
@@ -303,14 +306,16 @@ def modified_system(p: LvmParams) -> Field:
 
 def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
     """The uniform grid from t0 to t_end: n_full steps of dt, then one
-    shortened step of `remainder` when remainder > 0.
+    shortened step of `remainder` when remainder > 0; a dt longer than the
+    span is one shortened step of the span.
 
-    Raises ValidationError for a t_end or dt that is nan, infinite or an int
-    beyond the float range, a t_end not past t0, more than _MAX_STEPS steps,
-    or a dt too small to tell grid times apart.
+    Raises ValidationError for a t0, t_end or dt that is nan, infinite or an
+    int beyond the float range, a t_end not past t0, more than _MAX_STEPS
+    steps, or a dt too small to tell grid times apart.
     """
     _checked(_POSITIVE_FINITE, "dt", dt)
     _checked(_FINITE, "t_end", t_end)
+    _checked(_FINITE, "t0", t0)
     if not t_end > t0:
         raise ValidationError(f"t_end ({t_end}) must exceed the initial time ({t0})")
 
@@ -332,10 +337,10 @@ def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
         )
     n_full = int(math.floor(steps + _STEP_RTOL))
     remainder = span - n_full * dt
-    # A remainder that leaves the last full grid time rounded onto t_end
-    # is below the resolution of the times: the span is whole.
-    if remainder <= _STEP_RTOL * dt or t0 + n_full * dt >= t_end:
-        return max(n_full, 1), 0.0
+    # After a full step, a remainder that leaves the last full grid time
+    # rounded onto t_end is below the resolution of the times: the span is whole.
+    if n_full and (remainder <= _STEP_RTOL * dt or t0 + n_full * dt >= t_end):
+        return n_full, 0.0
     return n_full, remainder
 
 
@@ -344,10 +349,12 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
     uniform grid of step dt.
 
     The final step is shortened when (t_end - s0.t) is not a whole number
-    of steps. Negative components are not clamped, so that blow-up regimes
-    stay visible. Raises ValidationError for a t_end or dt that is nan,
-    infinite or an int beyond the float range, or for more than _MAX_STEPS
-    steps, and IntegrationError if the state stops being finite.
+    of steps. Negative components are not clamped: for the three models
+    from a non-negative state one is step error (their exact flows stay
+    non-negative and bounded), and a general Field can still blow up.
+    Raises ValidationError for a t_end or dt that is nan, infinite or an
+    int beyond the float range, or for more than _MAX_STEPS steps, and
+    IntegrationError if the state stops being finite.
     """
     n_full, remainder = _grid(s0.t, dt, t_end)
     # As floats: numpy scalars would step 3x slower and warn on overflow.
@@ -389,8 +396,7 @@ def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:
     n(t) = mu/gamma + (n0 - mu/gamma) * exp(-gamma * t), evaluated as the
     cancellation-free mix n0 * exp(-gamma t) + (mu/gamma) * (1 - exp(-gamma t)).
     """
-    if t < 0:
-        raise ValidationError(f"elapsed time must be non-negative, got {t}")
+    t = _checked(_NONNEGATIVE_FINITE, "elapsed time", t)
     decay = math.exp(-p.gamma * t)
     return n0 * decay + (p.mu / p.gamma) * (-math.expm1(-p.gamma * t))
 

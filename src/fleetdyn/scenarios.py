@@ -39,13 +39,13 @@ START_HYDROGEN = 0.0
 END_YEAR = 2100.0
 DEFAULT_DT = 0.1
 
-# Per-scenario (switching rate a = epsilon, hydrogen resources mu_h);
-# growth rates 0.01/year and conventional resources 0.65 Mveh/year
-# are common to all three.
+# Per-scenario (switching rate a = epsilon, hydrogen resources mu_h,
+# published 2050 zero-emission share or None); growth rates 0.01/year and
+# conventional resources 0.65 Mveh/year are common to all three.
 _BUILTIN = {
-    "low": (0.001, 0.05),
-    "moderate": (0.005, 0.35),
-    "aggressive": (0.01, 0.65),
+    "low": (0.001, 0.05, 0.10),
+    "moderate": (0.005, 0.35, 0.92),
+    "aggressive": (0.01, 0.65, None),
 }
 
 BUILTIN_SCENARIO_NAMES = tuple(_BUILTIN)
@@ -89,41 +89,29 @@ class TargetCheck:
         return None if observed is None else abs(observed - self.expected) <= self.tolerance
 
 
-def builtin_scenario(name: str) -> ScenarioSpec:
-    """One of the built-in policy scenarios: low, moderate or aggressive."""
+def _builtin(name: str) -> tuple[str, tuple]:
+    """The key of the built-in scenario name and its _BUILTIN row."""
     key = name.strip().lower()
     if key not in _BUILTIN:
         raise ValidationError(
             f"unknown scenario {name!r}; expected one of {', '.join(_BUILTIN)}"
         )
-    switch_rate, mu_h = _BUILTIN[key]
-    params = LvmParams(
-        gamma_c=0.01,
-        gamma_h=0.01,
-        a=switch_rate,
-        epsilon=switch_rate,
-        mu_c=0.65,
-        mu_h=mu_h,
-    )
-    return ScenarioSpec(
-        name=key,
-        params=params,
-        initial=FleetState(START_YEAR, START_CONVENTIONAL, START_HYDROGEN),
-        t_end=END_YEAR,
-        dt=DEFAULT_DT,
-    )
+    return key, _BUILTIN[key]
+
+
+def builtin_scenario(name: str) -> ScenarioSpec:
+    """One of the built-in policy scenarios: low, moderate or aggressive."""
+    key, (rate, mu_h, _) = _builtin(name)
+    params = LvmParams(gamma_c=0.01, gamma_h=0.01, a=rate, epsilon=rate, mu_c=0.65, mu_h=mu_h)
+    initial = FleetState(START_YEAR, START_CONVENTIONAL, START_HYDROGEN)
+    return ScenarioSpec(name=key, params=params, initial=initial, t_end=END_YEAR, dt=DEFAULT_DT)
 
 
 def builtin_targets(name: str) -> list[TargetCheck]:
     """Published 2050 zero-emission-share comparators, where one exists."""
-    key = name.strip().lower()
-    if key not in _BUILTIN:
-        raise ValidationError(f"unknown scenario {name!r}")
-    if key == "low":
-        return [TargetCheck(year=2050.0, metric="zev_share", expected=0.10, tolerance=0.05)]
-    if key == "moderate":
-        return [TargetCheck(year=2050.0, metric="zev_share", expected=0.92, tolerance=0.05)]
-    return []
+    share = _builtin(name)[1][2]
+    return [] if share is None else [
+        TargetCheck(year=2050.0, metric="zev_share", expected=share, tolerance=0.05)]
 
 
 def run_scenario(spec: ScenarioSpec) -> Trajectory:

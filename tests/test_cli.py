@@ -1,12 +1,17 @@
 """Command-line interface: flags, config files, exit codes, output files."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetdyn import (
     GrowthParams,
@@ -153,6 +158,16 @@ def test_growth_step_above_rk4_bound_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- scenario
+
+def test_scenario_step_beyond_the_span_writes_the_one_step_run(tmp_path):
+    # a dt of 1e12 spans or more is one step of the span, as a dt of 80 is
+    custom = ["scenario", "--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005",
+              "--epsilon", "0.005", "--mu_c", "0.65", "--mu_h", "0.35"]
+    for dt in ("1e14", "80"):
+        assert run_cli(*custom, "--dt", dt, "--out", str(tmp_path / dt)) == 0
+    assert (tmp_path / "1e14" / "custom.csv").read_bytes() == (
+        tmp_path / "80" / "custom.csv").read_bytes()
+
 
 def test_scenario_moderate_share_at_2050(tmp_path):
     out = tmp_path / "o"
@@ -711,3 +726,52 @@ def test_fresh_import_loads_no_submodule_and_no_numpy(tmp_path):
                             env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+# ------------------------------------------------------------------ fuzz
+
+# Odd values for any flag: the float range's edges and beyond, ints past
+# it and text that is no number.
+_ODD = ["nan", "inf", "-inf", "1e308", "-1e308", "1e309", "5e-324", "1" + "0" * 29,
+        "-1" + "0" * 29, "", "x", None]  # None leaves the flag out
+_RATES = ["0.01", "0.005", "0.5", "0.65", "0"]
+# Ordinary values for each fuzzed flag. Every span is at most about 2100
+# years and every step at least 0.1, so no run takes more than about 21000 RK4 steps.
+_ORDINARY = {
+    "growth": {"gamma": _RATES, "mu": _RATES, "n0": ["0.38", "0", "65"],
+               "t0": ["1960", "2020"], "t1": ["2050", "2100"],
+               "dt": ["0.1", "1", "80", "1e14"]},
+    "scenario": {**dict.fromkeys(["gamma_c", "gamma_h", "a", "epsilon", "mu_c", "mu_h"], _RATES),
+                 "x0": ["28.95", "0"], "y0": ["0", "1"], "t0": ["2020", "1960"],
+                 "t_end": ["2100", "2050"], "dt": ["0.1", "1", "80", "1e14"]},
+    "sensitivity": dict.fromkeys(["gamma_c", "gamma_h", "a", "epsilon", "mu_c", "mu_h"], _RATES),
+    "infra": {"id": ["S1", "S4", "S9"], "uptake": ["0.35", "0", "2"], "horizon": ["30", "1"],
+              "basis": ["daily", "annual"], "utilization": ["1", "0.5"]},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ORDINARY)))
+    flags = _ORDINARY[command]
+    values = {flag: draw(st.sampled_from(ordinary)) for flag, ordinary in flags.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        values[flag] = draw(st.sampled_from(_ODD))
+    return [command, *(arg for flag, value in values.items() if value is not None
+                       for arg in (f"--{flag}", value))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_no_argv_raises_or_writes_a_non_finite_number(argv):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", out]) in (0, 1, 2)
+        cells = [cell for path in Path(out).iterdir()
+                 for line in path.read_text().splitlines() for cell in line.split(",")]
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (argv, cell)

@@ -27,6 +27,7 @@ from fleetdyn import (
     Trajectory,
     ValidationError,
     classical_system,
+    finite_difference_sensitivity,
     growth_closed_form,
     growth_system,
     integrate,
@@ -214,6 +215,15 @@ _ENTRY_POINTS = {
                                    "utilization must be in (0, 1], got {}"),
     "PetrolEquivalence-total_stations": (lambda v: PetrolEquivalence(v, LARGE_STATION),
                                          "total_stations must be non-negative and finite, got {}"),
+    "growth_closed_form-t": (lambda v: growth_closed_form(GROWTH, 1.0, v),
+                             "elapsed time must be non-negative and finite, got {}"),
+    "Trajectory.sample": (lambda v: Trajectory(0.0, 1.0, 2.0, (0.0,) * 3, (0.0,) * 3).sample(v),
+                          "time {} outside trajectory range [0.0, 2.0]"),
+    "finite_difference_sensitivity-h_rel": (
+        lambda v: finite_difference_sensitivity(_MODERATE, h_rel=v),
+        "h_rel must be positive and finite, got {}"),
+    "Trajectory-t0": (lambda v: Trajectory(v, 1.0, 2.0, (0.0,) * 3, (0.0,) * 3),
+                      "t0 must be finite, got {}"),
 }
 
 
@@ -435,6 +445,23 @@ def test_integrate_grid_matches_the_loop_built_grid(t0, dt, t_end, n):
     grid[-1] = t_end
     assert list(traj.t) == grid
     assert np.all(np.diff(traj.t) > 0)
+
+
+@pytest.mark.parametrize("t0, t_end", [(2020.0, 2100.0), (0.0, 1e-300), (-3.7, 11.3)])
+@pytest.mark.parametrize("factor", [1e12, 1e14, 1e300])
+def test_a_step_beyond_the_span_is_one_shortened_step_of_the_span(t0, t_end, factor):
+    span = t_end - t0
+    assert _grid(t0, factor * span, t_end) == (0, span)
+    assert _grid(t0, 1.25 * span, t_end) == (0, span)
+
+
+def test_a_step_far_beyond_the_span_integrates_as_one_step_of_the_span():
+    s0 = FleetState(2020.0, 28.95, 0.0)
+    field = growth_system(GrowthParams(0.01, 0.65))
+    huge = integrate(field, s0, 2100.0, 1e14)
+    whole = integrate(field, s0, 2100.0, 80.0)
+    assert bits(huge.x) == bits(whole.x) and bits(huge.y) == bits(whole.y)
+    assert huge.t == whole.t == (2020.0, 2100.0)
 
 
 def test_integrate_rejects_blowup():
@@ -677,3 +704,11 @@ def test_growth_closed_form_limits():
     assert growth_closed_form(GROWTH, 0.38, 140.0) == pytest.approx(49.07, abs=0.01)
     with pytest.raises(ValidationError):
         growth_closed_form(GROWTH, 0.38, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_growth_closed_form_refuses_an_elapsed_time_out_of_range(t):
+    # nan used to come back as nan, and inf as the equilibrium mu/gamma
+    with pytest.raises(ValidationError) as exc:
+        growth_closed_form(GROWTH, 0.38, t)
+    assert str(exc.value) == f"elapsed time must be non-negative and finite, got {t}"

@@ -203,6 +203,19 @@ def test_builtin_targets_table():
         builtin_targets("fast")
 
 
+def test_builtin_targets_read_the_scenario_table():
+    assert [[(c.year, c.metric, c.expected, c.tolerance) for c in builtin_targets(name)]
+            for name in BUILTIN_SCENARIO_NAMES] == [
+        [(2050.0, "zev_share", 0.10, 0.05)], [(2050.0, "zev_share", 0.92, 0.05)], []]
+    assert builtin_targets(" Moderate ") == builtin_targets("moderate")
+    for unknown in ("fast", ""):
+        with pytest.raises(ValidationError) as scenario:
+            builtin_scenario(unknown)
+        with pytest.raises(ValidationError) as targets:
+            builtin_targets(unknown)
+        assert str(targets.value) == str(scenario.value)
+
+
 # -------------------------------------------------------------- uptake rate
 
 def test_new_hydrogen_vehicles_early_moderate(trajectories):
