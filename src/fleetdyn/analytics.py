@@ -9,6 +9,11 @@ Everything else is read off the Jacobian J of the rates there, and needs
 approach) from a focus (damped oscillation), and the implicit function
 theorem gives the twelve analytic gradients of the asymptotes, which are
 paired with an independent central-difference verifier.
+
+The fixed point is globally attracting. For mu_c, mu_h >= 0 the closed
+positive quadrant is invariant, B = 1/(xy) is a Dulac function (no periodic
+orbit), and the fixed point is unique. By Poincare-Bendixson, every
+trajectory tends to it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ PARAM_NAMES = ("mu_h", "mu_c", "epsilon", "a", "gamma_h", "gamma_c")
 
 
 class StabilityClass(Enum):
-    """How trajectories approach the (always stable) fixed point."""
+    """How trajectories approach the fixed point, which is globally attracting."""
 
     MONOTONE_EQUILIBRIUM = "monotone-equilibrium"  # node: real eigenvalues
     DAMPED_OSCILLATION = "damped-oscillation"  # focus: complex eigenvalues

@@ -364,7 +364,3 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model failure: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

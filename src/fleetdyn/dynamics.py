@@ -398,7 +398,7 @@ def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:
     """
     t = _checked(_NONNEGATIVE_FINITE, "elapsed time", t)
     decay = math.exp(-p.gamma * t)
-    return n0 * decay + (p.mu / p.gamma) * (-math.expm1(-p.gamma * t))
+    return n0 * decay + p.equilibrium * (-math.expm1(-p.gamma * t))
 
 
 def lv_conserved_quantity(s: FleetState, p: ClassicalLvmParams) -> float:

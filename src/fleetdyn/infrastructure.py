@@ -105,10 +105,11 @@ SCENARIO_BINDINGS = {
 
 @dataclass(frozen=True)
 class DeploymentPlan:
-    """Station build schedule and cost for one scenario.
+    """Station build schedule and capital cost for one of the scenarios S1-S4.
 
-    A plan holds the inputs of deployment_plan and derives the other fields
-    at construction, so dataclasses.replace(plan, uptake=...) re-derives them.
+    A plan holds its five arguments, scenario_id to utilization, and derives
+    the other fields at construction, so dataclasses.replace(plan,
+    uptake=...) re-derives them. deployment_plan is this class.
 
     stations_per_year and the derived totals/costs come from the
     exact-ratio rate (uptake / exact vehicles-per-station, rounded up);
@@ -176,6 +177,7 @@ class PetrolEquivalence:
     rounded_ratio is the public-discussion figure (14 for a large
     station); equivalent_at_rounded_ratio divides by it instead of the
     exact ratio. The four figures are derived at construction.
+    petrol_equivalence is this class.
     """
 
     total_stations: int
@@ -199,10 +201,8 @@ class PetrolEquivalence:
                              equivalent_at_rounded_ratio=round(self.total_stations / rounded))
 
 
-def _ceil_count(value: float) -> int:
-    # Round away float noise before taking the ceiling so that exact
-    # ratios (e.g. 2625.0) do not overshoot by one station.
-    return int(math.ceil(round(value, 6)))
+deployment_plan = DeploymentPlan
+petrol_equivalence = PetrolEquivalence
 
 
 def vehicles_per_station_exact(
@@ -230,23 +230,9 @@ def stations_per_year(uptake: float, vps: float) -> int:
     if not math.isfinite(need):
         raise ValidationError(f"uptake {uptake:g} Mveh/year at {vps:g} vehicles per station "
                               "needs more stations a year than a float holds")
-    return _ceil_count(need)
-
-
-def deployment_plan(
-    scenario_id: str,
-    uptake: float = 0.35,
-    horizon_years: int = 30,
-    basis: str = "daily",
-    utilization: float = 1.0,
-) -> DeploymentPlan:
-    """Build schedule and capital cost for one of the scenarios S1-S4."""
-    return DeploymentPlan(scenario_id, uptake, horizon_years, basis, utilization)
-
-
-def petrol_equivalence(total_stations: int, st: StationSpec) -> PetrolEquivalence:
-    """Express a hydrogen build-out as a number of petrol filling stations."""
-    return PetrolEquivalence(total_stations, st)
+    # Round away float noise before taking the ceiling so that exact
+    # ratios (e.g. 2625.0) do not overshoot by one station.
+    return int(math.ceil(round(need, 6)))
 
 
 def write_plan_csv(plans: list[DeploymentPlan], path) -> None:

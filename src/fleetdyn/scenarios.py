@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from ._files import write_text
-from .dynamics import FleetState, LvmParams, Trajectory, _grid, integrate, modified_system
+from .dynamics import (_MAX_STEPS, FleetState, LvmParams, Trajectory, _grid, integrate,
+                       modified_system)
 from .errors import ValidationError
 
 __all__ = [
@@ -146,10 +147,17 @@ def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
 
 def sample_yearly(traj: Trajectory) -> list[tuple[float, float, float]]:
     """(year, x, y) at the integer years inside the trajectory's span, x and
-    y linearly interpolated on the integration grid at those years."""
+    y linearly interpolated on the integration grid at those years. More
+    than _MAX_STEPS + 1 years, which only a step above one year spans, are
+    refused with ValidationError."""
     # a year within 1e-9 outside the span takes the nearest end sample, as np.interp would
-    return traj._sample_many(
-        map(float, range(math.ceil(traj.t0 - 1e-9), math.floor(traj.t_end + 1e-9) + 1)))
+    first, last = math.ceil(traj.t0 - 1e-9), math.floor(traj.t_end + 1e-9)
+    # compared as ints: len(range(...)) overflows past sys.maxsize
+    if last - first > _MAX_STEPS:
+        raise ValidationError(
+            f"the span from {traj.t0} to {traj.t_end} holds {float(last - first) + 1:.7g} "
+            f"yearly rows; at most {_MAX_STEPS + 1} are allowed")
+    return traj._sample_many(map(float, range(first, last + 1)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

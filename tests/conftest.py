@@ -8,6 +8,19 @@ from hypothesis import strategies as st
 from fleetdyn import ClassicalLvmParams, LvmParams, Trajectory, ValidationError
 from fleetdyn.dynamics import _grid
 
+# A runaway allocation fails its test with MemoryError instead of exhausting
+# the host: the soft address-space limit of the test process (and of the
+# processes it starts) is lowered to 4 GiB, unless it is lower already.
+_ADDRESS_SPACE = 4 * 2**30
+try:
+    import resource
+except ImportError:  # no resource module, as on Windows
+    pass
+else:
+    _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if _soft == resource.RLIM_INFINITY or _soft > _ADDRESS_SPACE:
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _hard))
+
 
 @pytest.fixture
 def tab_grad_params():

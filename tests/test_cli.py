@@ -95,6 +95,22 @@ def test_growth_step_count_over_cap_exits_2(tmp_path, capsys):
     assert "at most 1000000" in err
 
 
+@pytest.mark.parametrize("argv, span", [
+    (["growth", "--gamma", "1e-20", "--mu", "0", "--n0", "1", "--t0", "0", "--t1", "1000001",
+      "--dt", "500000"], "0.0 to 1000001.0"),
+    (["scenario", "--gamma_c", "1e-13", "--gamma_h", "1e-13", "--a", "1e-15", "--epsilon",
+      "1e-15", "--mu_c", "0", "--mu_h", "0", "--t_end", "1002021", "--dt", "500000"],
+     "2020.0 to 1002021.0"),
+])
+def test_yearly_rows_over_cap_exit_2(tmp_path, capsys, argv, span):
+    # three RK4 steps, but one more whole year than the yearly output may hold
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: the span from {span} holds 1000002 "
+                                       "yearly rows; at most 1000001 are allowed\n")
+    assert list(out.iterdir()) == []
+
+
 def test_scenario_infinite_horizon_exits_2(tmp_path, capsys):
     code = run_cli(
         "scenario", "--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005",
@@ -775,3 +791,78 @@ def test_no_argv_raises_or_writes_a_non_finite_number(argv):
         except ValueError:
             continue
         assert math.isfinite(value), (argv, cell)
+
+
+# Input files for `fit --data` and `--config`. A config gives each key of its
+# command an ordinary value, odd values to up to three keys, and may leave a
+# key out or add an unknown, duplicate or `novalue` line. Spans reach one year
+# past the yearly-row cap (1002021 from 2020) and no further; the 500000-year
+# step crosses such a span in three steps.
+_PAST_CAP = "1002021"
+_LVM_VALUES = {**dict.fromkeys(["gamma_c", "gamma_h", "a", "epsilon"], _RATES[:-1]),
+               "mu_c": _RATES, "mu_h": _RATES}
+_FRAME = {"t0": ["1960", "2020"], "dt": ["0.1", "1", "80", "500000", "1e14"]}
+_CONFIG = {
+    "growth": {"gamma": _RATES[:-1], "mu": _RATES, "n0": ["0.38", "0", "65"],
+               "t1": ["2050", "2100", _PAST_CAP], **_FRAME},
+    "scenario": {"name": [None] * 6 + ["moderate", "x"], **_LVM_VALUES,
+                 "x0": ["28.95", "0"], "y0": ["0", "1"], "t_end": ["2100", "2050", _PAST_CAP],
+                 **_FRAME},
+    "sensitivity": _LVM_VALUES,
+}
+_HEADERS = ["year,fleet_mveh"] * 4 + [" Year , FLEET_MVEH ", "year,fleet",
+                                      "year,fleet_mveh,extra", ""]
+_DEFECTS = ["odd year", "odd fleet", "repeat", "blank", "1 field", "3 fields"]
+_FLEET = ["0.38", "20", "29.5", "65", "1e-3"]
+
+
+@st.composite
+def _config_file(draw, command):
+    keys = _CONFIG[command]
+    values = {key: draw(st.sampled_from(pool)) for key, pool in keys.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(_ODD))
+    lines = [f"{key} = {value}" for key, value in values.items() if value is not None]
+    extra = draw(st.sampled_from([None] * 4 + ["unknown = 1", "duplicate", "novalue"]))
+    if extra is not None:
+        line = draw(st.sampled_from(lines)) if extra == "duplicate" and lines else extra
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _fleet_data(draw):
+    # a series of up to eight rows, then up to two defective lines inserted anywhere
+    year = draw(st.integers(1960, 2000))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        lines.append(f"{year},{draw(st.sampled_from(_FLEET))}")
+        year += draw(st.sampled_from([1, 1, 1, 5]))
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        odd = draw(st.sampled_from([*_ODD[:-1], _PAST_CAP]))
+        line = {"odd year": f"{odd},20", "odd fleet": f"{year},{odd}", "repeat":
+                lines[-1] if lines else "", "blank": "", "1 field": str(year),
+                "3 fields": f"{year},20,20"}[defect]
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join([draw(st.sampled_from(_HEADERS)), *lines]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["fit", *_CONFIG])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_no_input_file_raises_or_writes_a_non_finite_number(command, data):
+    text = data.draw(_fleet_data() if command == "fit" else _config_file(command))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path, out = Path(tmp) / "input", Path(tmp) / "out"
+        path.write_text(text, encoding="utf-8")
+        flag = "--data" if command == "fit" else "--config"
+        assert main([command, flag, str(path), "--out", str(out)]) in (0, 1, 2)
+        cells = [cell for written in (out.iterdir() if out.exists() else ())
+                 for line in written.read_text().splitlines() for cell in line.split(",")]
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (command, text, cell)

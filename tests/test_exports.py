@@ -109,6 +109,18 @@ def test_every_top_level_import_is_used(path):
     assert bound - used == set()
 
 
+def test_only_the_package_main_runs_as_a_script():
+    # The console script and `python -m fleetdyn` both call cli.main, the
+    # second through __main__.py; another `if __name__ == "__main__"` block
+    # would be a third entry point.
+    scripts = {
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.If) and "__name__" in ast.unparse(node.test)
+    }
+    assert scripts == {"__main__.py"}
+
+
 def test_every_error_class_has_a_raiser():
     # An error class that nothing raises is dead surface; ModelError is
     # the base the CLI catches, and is raised only through its subclasses.

@@ -205,6 +205,11 @@ def test_deployment_annual_basis_flagged():
 
 # ------------------------------------------------------ plan as a value type
 
+def test_the_function_names_are_the_classes():
+    assert deployment_plan is DeploymentPlan
+    assert petrol_equivalence is PetrolEquivalence
+
+
 @pytest.mark.parametrize("derived", [
     {"total_stations": 1},
     {"total_stations": 1, "annual_capex": -5.0},
