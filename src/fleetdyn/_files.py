@@ -1,16 +1,39 @@
-"""The package's one file writer: replace a file's content in place.
+"""The package's one file reader and one file writer.
 
-`open(path, "w")` truncates an existing file to zero bytes on open, and on
-ext4 (default `auto_da_alloc`) closing a file truncated that way starts its
-writeback, which cost several times the formatting of a small CSV. Writing
-first and truncating at the written length leaves the same bytes on the
-same inode without that flush. Like `open`, it does not fsync.
+read_text reads an input file in one read and decodes it once, so that a
+file that is not UTF-8 is refused as bad input, not met as a traceback.
+
+write_text replaces a file's content in place. `open(path, "w")` truncates
+an existing file to zero bytes on open, and on ext4 (default
+`auto_da_alloc`) closing a file truncated that way starts its writeback,
+which cost several times the formatting of a small CSV. Writing first and
+truncating at the written length leaves the same bytes on the same inode
+without that flush. Like `open`, it does not fsync.
 """
 
 import os
 import stat
 
+from .errors import ParseError
+
 _FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def read_text(path) -> str:
+    """The content of `path` decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise ParseError naming the file and the line
+    of the first bad byte. Lines end at \\n, \\r or \\r\\n, as in universal
+    newlines and the csv module.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8 text, {exc.reason} "
+                         f"at byte {exc.start}") from exc
 
 
 def write_text(path, text: str) -> None:

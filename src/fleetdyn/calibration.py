@@ -12,6 +12,7 @@ reports whether it ended inside the domain or at the gamma -> 0 boundary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -19,6 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
+from ._files import read_text
 from .dynamics import _FMAX, GrowthParams
 from .errors import FitError, ParseError, ValidationError
 
@@ -40,7 +42,7 @@ _YEAR_MIN, _YEAR_MAX = -2**63, 2**63 - 1
 # edge, then 25 log-spaced points from 1e-4 to 1e2 (10**(k/4), k = -16..8).
 _EDGE = 1e-12
 _RATES = np.concatenate(([_EDGE], 10.0 ** (np.arange(-16, 9) / 4.0)))
-_LOG_RATES = np.log(_RATES)
+_LOG_RATES = np.log(_RATES).tolist()
 _MAX_STEPS = 50
 # Relative SSR change of a Newton step that ends the search.
 _REL_TOL = 1e-10
@@ -154,10 +156,10 @@ def _project(s, tau, f):
     least-squares (n0, mu) come from a two-column QR (phi orthogonalised
     against e, so no determinant cancels), fitting e alone where the free
     mu would be negative, so mu >= 0. Returns the profile SSR, n0, mu (per
-    unit tau), the residuals, the gradient of the SSR in log s by the
-    envelope formula -2 r . dmodel/dlog s, and Kaufman's projected
-    Gauss-Newton curvature 2 |P dmodel/dlog s|^2, P projecting out the
-    columns in use.
+    unit tau), the residuals and the terms (-s tau, e, w, e.e, w.w, mu phi),
+    w the orthogonalised phi. The slope is not computed here: only the rate
+    a Newton step starts from needs it, so fit_growth has _slope take it
+    from these terms at that one rate, a scan column or a Newton candidate.
     """
     ms_tau = -s * tau
     e = np.exp(ms_tau)
@@ -170,17 +172,37 @@ def _project(s, tau, f):
     n0 = _dot(e, f) / ee - mu * c
     mu_phi = mu * phi
     r = f - n0 * e - mu_phi
+    return _dot(r, r), n0, mu, r, (ms_tau, e, w, ee, ww, mu_phi)
+
+
+def _slope(tau, n0, mu, r, terms, dot):
+    """The slope (g, h) at one rate, from what _project returned there: the
+    gradient of the profile SSR in log s by the envelope formula
+    g = -2 r . dmodel/dlog s, and Kaufman's projected Gauss-Newton curvature
+    h = 2 |P dmodel/dlog s|^2, P projecting out the columns in use. dot sums
+    over the data points in the order _project summed that rate in: _dot for
+    a Newton candidate, _row_dot for a column of the scan.
+    """
+    ms_tau, e, w, ee, ww, mu_phi = terms
     # d(model)/d(log s); s dphi/ds = tau e - phi, which cancels only where
     # s tau is far below the scan grid.
     d = (n0 * ms_tau + mu * tau) * e - mu_phi
-    pd = d - _dot(e, d) / ee * e
-    pd = pd - _dot(w, pd) / ww * (mu > 0) * w
-    return _dot(r, r), n0, mu, r, -2.0 * _dot(r, d), 2.0 * _dot(pd, pd)
+    pd = d - dot(e, d) / ee * e
+    pd = pd - dot(w, pd) / ww * (mu > 0) * w
+    return -2.0 * float(dot(r, d)), 2.0 * float(dot(pd, pd))
 
 
 def _dot(a, b):
     """Dot products over the data points, the first axis, by ndarray.sum's reduce."""
     return np.add.reduce(a * b, 0)
+
+
+def _row_dot(a, b):
+    """_dot of one column of the scan, to the bit: the 2-d reduce adds the rows
+    in turn to its identity +0.0, where the 1-d reduce of a lone column would
+    sum pairwise. Adding +0.0 last turns a sum of negative zeros into +0.0 as
+    that start does, and leaves every other sum as it is."""
+    return np.add.accumulate(a * b)[-1] + 0.0
 
 
 def fit_growth(data: FleetSeries) -> FitResult:
@@ -197,7 +219,12 @@ def fit_growth(data: FleetSeries) -> FitResult:
     than 1e-10 of it, or the residual norm by less than 1e-12 of the data
     norm, ends the search, as does a residual norm below 1e-12 of the data
     norm (an exact fit). n_iterations counts the Newton steps; after 50 the
-    fit raises FitError.
+    fit raises FitError. The slope is computed only where a step reads it:
+    at the grid argmin once the fit is past the boundary and grid-top checks
+    below, and at the point a step moved to if another step follows. The
+    argmin's slope is summed in the scan's row order (_row_dot), where the
+    1-d reduce of its column would sum pairwise, so that it is the slope the
+    whole-grid pass would give, to the bit.
 
     Edges: the argmin at gamma -> 0 ends the fit with termination
     "boundary" (the least-squares line, or the mean where the data fall,
@@ -210,7 +237,8 @@ def fit_growth(data: FleetSeries) -> FitResult:
     if len(data) < 3:
         raise ValidationError("fit needs at least 3 data points")
 
-    t = np.array([year - data.years[0] for year in data.years], dtype=float)
+    first = data.years[0]
+    t = np.array([year - first for year in data.years], dtype=float)
     span = float(t[-1])
     tau = t / span
     # The fit is equivariant in the scale of the data: dividing them by a
@@ -225,7 +253,7 @@ def fit_growth(data: FleetSeries) -> FitResult:
         return FitResult(
             params=GrowthParams(gamma=float(rate) / span, mu=float(mu) * scale / span),
             n0=float(n0) * scale,
-            anchor_year=float(data.years[0]),
+            anchor_year=float(first),
             mean_error=mean_err,
             std_error=std_err,
             n_iterations=steps,
@@ -233,24 +261,25 @@ def fit_growth(data: FleetSeries) -> FitResult:
             termination=termination,
         )
 
-    ssr, n0, mu, r, grad, curv = _project(_RATES, tau[:, None], f[:, None])
+    ssr, n0, mu, r, terms = _project(_RATES, tau[:, None], f[:, None])
     # exact fits tie at the floor, and the lowest rate among them wins
-    k = int(np.argmin(np.maximum(ssr, floor)))
-    point = _RATES[k], ssr[k], n0[k], mu[k], r[:, k]
-    g, h = grad[k], curv[k]
+    k = int(np.maximum(ssr, floor).argmin())
+    point = float(_RATES[k]), float(ssr[k]), float(n0[k]), float(mu[k]), r[:, k]
     if k == 0:
         # d SSR/ds at the line, in closed form since tau e - phi cancels
         # there; r is orthogonal to 1 and, if mu > 0, to tau
         slope = r[:, 0] @ (tau * (2.0 * n0[0] + mu[0] * tau))
         if slope >= 0 or ssr[0] <= floor:
             return result(*point, 0, "boundary")
-        g = _EDGE * slope
     elif k == len(_RATES) - 1:
         raise FitError(
             f"fit did not converge: the rate runs to the top of the search grid, "
             f"gamma * span = {_RATES[k]:g}",
             best=result(*point, 0, "not converged"),
         )
+    g, h = _slope(tau, *point[2:], [a[..., k] for a in terms], _row_dot)
+    if k == 0:
+        g = _EDGE * slope
     lo, hi = _LOG_RATES[max(k - 1, 0)], _LOG_RATES[k + 1]
 
     steps = 0
@@ -259,16 +288,19 @@ def fit_growth(data: FleetSeries) -> FitResult:
             raise FitError(f"fit did not converge within {_MAX_STEPS} Newton steps",
                            best=result(*point, steps, "not converged"))
         steps += 1
+        if g is None:  # the last step moved the point
+            g, h = _slope(tau, *point[2:], terms, _dot)
         u, cur = math.log(point[0]), point[1]
         cand = u - g / h if h > 0 else math.inf
         newton = lo < cand < hi
         if not newton:
             cand = 0.5 * (u + (lo if g > 0 else hi))
         rate = math.exp(cand)
-        c_ssr, c_n0, c_mu, c_r, c_g, c_h = _project(rate, tau, f)
+        c_ssr, c_n0, c_mu, c_r, c_terms = _project(rate, tau, f)
+        c_ssr = float(c_ssr)
         # keep the lower point inside the bracket, the other as its edge
         if c_ssr < cur:
-            point, g, h = (rate, c_ssr, c_n0, c_mu, c_r), c_g, c_h
+            point, terms, g = (rate, c_ssr, float(c_n0), float(c_mu), c_r), c_terms, None
             lo, hi = (u, hi) if cand > u else (lo, u)
         else:
             lo, hi = (lo, cand) if cand > u else (cand, hi)
@@ -283,6 +315,10 @@ def fit_growth(data: FleetSeries) -> FitResult:
 def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
+    The file is read and decoded as UTF-8 in one pass (read_text), so bytes
+    that are not UTF-8 are a ParseError naming the file and the line; its
+    lines split as in a file opened with newline="".
+
     Each row is checked against the FleetSeries rules as it is read, and the
     first row that breaks one is reported with its file and line. A row
     passes on one chained test, lo < year <= hi and 0 < value <= max float,
@@ -292,33 +328,32 @@ def load_fleet_csv(path) -> FleetSeries:
     years = []
     fleet = []
     lo, hi = _YEAR_MIN - 1, _YEAR_MAX
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [c.strip().lower() for c in header] != list(FLEET_CSV_HEADER):
-            raise ParseError(
-                f"{path}: line 1: expected header 'year,fleet_mveh', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                if not row or len(row) == 1 and not row[0].strip():
-                    continue  # a blank line
-                raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                year = int(row[0])
-                value = float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not (lo < year <= hi and 0 < value <= _FMAX):
-                defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
-                raise ValidationError(f"{path}: line {lineno}: {defect}")
-            if not years:
-                hi = min(year + 2**53, _YEAR_MAX)
-            lo = year
-            years.append(year)
-            fleet.append(value)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if [c.strip().lower() for c in header] != list(FLEET_CSV_HEADER):
+        raise ParseError(
+            f"{path}: line 1: expected header 'year,fleet_mveh', got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            if not row or len(row) == 1 and not row[0].strip():
+                continue  # a blank line
+            raise ParseError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            year = int(row[0])
+            value = float(row[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not (lo < year <= hi and 0 < value <= _FMAX):
+            defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
+            raise ValidationError(f"{path}: line {lineno}: {defect}")
+        if not years:
+            hi = min(year + 2**53, _YEAR_MAX)
+        lo = year
+        years.append(year)
+        fleet.append(value)
     if not years:
         raise ParseError(f"{path}: no data rows")
     return FleetSeries._checked(years, fleet)

@@ -16,6 +16,7 @@ defaults to ./out, overridable with FLEETDYN_OUT or the --out flag.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -23,12 +24,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import scenarios
-from ._files import write_text
+from ._files import read_text, write_text
 from .dynamics import (
+    _NONNEGATIVE,
     RK4_REAL_BOUND,
     FleetState,
     GrowthParams,
     LvmParams,
+    _checked,
     growth_closed_form,
     growth_system,
     integrate,
@@ -56,20 +59,22 @@ class Command(NamedTuple):
 
 
 def load_config(path) -> dict[str, tuple[int, str]]:
-    """Parse a flat `key = value` file into {key: (line number, value)}."""
+    """Parse a flat `key = value` file into {key: (line number, value)}.
+
+    Its lines end as in a text file, at \\n, \\r or \\r\\n; a file that is not
+    UTF-8 is a ParseError naming the line (read_text)."""
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in cfg:
-                raise ParseError(f"{path}: line {lineno}: {key} already set on line {cfg[key][0]}")
-            cfg[key] = (lineno, value.strip())
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in cfg:
+            raise ParseError(f"{path}: line {lineno}: {key} already set on line {cfg[key][0]}")
+        cfg[key] = (lineno, value.strip())
     return cfg
 
 
@@ -125,7 +130,8 @@ _TARGET_HEADER = "year,metric,expected,tolerance,observed,pass\n"
 
 def cmd_growth(args) -> int:
     params = GrowthParams(gamma=args.gamma, mu=args.mu)
-    initial = FleetState(args.t0, args.n0, 0.0).require_nonnegative()
+    _checked(_NONNEGATIVE, args.given["n0"], args.n0)
+    initial = FleetState(args.t0, args.n0, 0.0)
     if args.dt * params.gamma > RK4_REAL_BOUND:
         largest = math.nextafter(RK4_REAL_BOUND / params.gamma, math.inf)
         while largest * params.gamma > RK4_REAL_BOUND:
@@ -159,9 +165,12 @@ def cmd_scenario(args) -> int:
             raise ValidationError(
                 "custom scenario needs all model parameters; missing: " + ", ".join(missing)
             )
+        params = LvmParams(**model)
+        for key in ("x0", "y0"):
+            _checked(_NONNEGATIVE, args.given.get(key, f"--{key}"), getattr(args, key))
         spec = scenarios.ScenarioSpec(
             name="custom",
-            params=LvmParams(**model),
+            params=params,
             initial=FleetState(args.t0, args.x0, args.y0),
             t_end=args.t_end,
             dt=args.dt,

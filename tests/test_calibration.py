@@ -1,6 +1,7 @@
 """Data ingestion, point-wise error and growth-model fitting."""
 
 import csv
+import hashlib
 import math
 import random
 import re
@@ -485,9 +486,44 @@ def test_fit_never_above_reference_loop_on_seeded_corpus():
     assert boundary >= 30 and interior >= 120
 
 
+def _below_grid_series():
+    """Noise-free data with gamma * span = 1e-5, below the first grid rate."""
+    return synthetic_series(GrowthParams(1e-5 / 50, 0.4), 6.0, np.arange(1970, 2021, 5), 1970)
+
+
+_DECAY = [(2000, 10.0), (2005, 9.0), (2010, 8.0), (2015, 7.0), (2020, 6.1)]
+_PLATEAU = [(2000, 10.0), (2010, 20.0), (2020, 20.0), (2030, 20.0)]
+
+# sha256 of the reprs of the fits of _digest_corpus(), or of the best point a
+# FitError carries, in order. Recorded before the fit left its slope to
+# _slope, with Python 3.11 and numpy 2.4 on x86-64; another build of numpy may
+# round exp and expm1 differently in the last bit, which would change it.
+_FIT_DIGEST = "1893f4bd4481bbc53691b2466bac145b5cec16a193a7a8deffb38941b4f33d42"
+
+
+def _digest_corpus():
+    """_fit_corpus(240), the UK series, an optimum below the first grid rate,
+    a decay fitted at mu = 0 and a step to a plateau (a FitError)."""
+    return [*_fit_corpus(240), bundled_uk_fleet_series(), _below_grid_series(),
+            make_series(_DECAY), make_series(_PLATEAU)]
+
+
+def test_fit_bits_match_the_recorded_digest():
+    digest, kinds = hashlib.sha256(), set()
+    for data in _digest_corpus():
+        try:
+            fit = fit_growth(data)
+        except FitError as exc:
+            fit = exc.best
+        kinds.add(fit.termination)
+        digest.update(repr(fit).encode())
+    assert kinds == {"boundary", "interior", "not converged"}
+    assert digest.hexdigest() == _FIT_DIGEST
+
+
 def test_fit_error_on_step_to_plateau_carries_best():
     # A step to a plateau: the rate runs to the top of the search grid.
-    data = make_series([(2000, 10.0), (2010, 20.0), (2020, 20.0), (2030, 20.0)])
+    data = make_series(_PLATEAU)
     with pytest.raises(FitError, match="top of the search grid") as exc:
         fit_growth(data)
     best = exc.value.best
@@ -500,19 +536,41 @@ def test_fit_error_on_step_to_plateau_carries_best():
 
 
 def test_fit_evaluates_the_profile_once_per_newton_step(monkeypatch):
-    calls = []
-    project = calibration._project
+    calls, ssrs, slopes = [], [], []
+    project, slope = calibration._project, calibration._slope
 
     def counting(s, tau, f):
         calls.append(np.size(s))
-        return project(s, tau, f)
+        out = project(s, tau, f)
+        ssrs.append(out[0])
+        return out
+
+    def counting_slope(*args):
+        slopes.append(args)
+        return slope(*args)
 
     monkeypatch.setattr(calibration, "_project", counting)
+    monkeypatch.setattr(calibration, "_slope", counting_slope)
+    kinds, continued = set(), 0
     for data in _fit_corpus(8):
-        calls.clear()
+        calls.clear(), ssrs.clear(), slopes.clear()
         fit = fit_growth(data)
         # one vectorised scan of the whole grid, then one rate per Newton step
         assert calls == [len(calibration._RATES)] + [1] * fit.n_iterations
+        kinds.add(fit.termination)
+        if fit.termination == "boundary":
+            assert slopes == []  # the fit ends at the line without a step
+            continue
+        # the slope where a step starts: at the grid argmin, then at each point
+        # a step moved to (a lower SSR), unless that step was the last
+        best, moved = ssrs[0].min(), 0
+        for step, ssr in enumerate(ssrs[1:], start=1):
+            if ssr < best:
+                best = ssr
+                moved += step < fit.n_iterations
+        assert len(slopes) == 1 + moved
+        continued += moved
+    assert kinds == {"boundary", "interior"} and continued > 0
 
 
 def test_fit_error_after_the_newton_step_cap(monkeypatch):
@@ -528,9 +586,8 @@ def test_fit_error_after_the_newton_step_cap(monkeypatch):
 def test_fit_finds_an_optimum_below_the_first_grid_rate():
     # Noise-free data with gamma * span = 1e-5: every grid rate (the lowest
     # is 1e-4) fits worse than the line, but the profile falls from the line.
-    years = np.arange(1970, 2021, 5)
-    data = synthetic_series(GrowthParams(1e-5 / 50, 0.4), 6.0, years, 1970)
-    t = (years - 1970).astype(float)
+    data = _below_grid_series()
+    t = (np.asarray(data.years) - 1970).astype(float)
     assert _profile_ssr(t, data.fleet, 1e-4 / 50) > _line_ssr(t, np.asarray(data.fleet))
     fit = fit_growth(data)
     assert fit.termination == "interior"
@@ -539,7 +596,7 @@ def test_fit_finds_an_optimum_below_the_first_grid_rate():
 
 
 def test_fit_keeps_mu_non_negative_on_a_decaying_series():
-    data = make_series([(2000, 10.0), (2005, 9.0), (2010, 8.0), (2015, 7.0), (2020, 6.1)])
+    data = make_series(_DECAY)
     fit, ref = _never_above_reference(data)
     assert fit.termination == "interior"
     assert fit.params.mu == 0.0
@@ -572,6 +629,66 @@ def test_dot_is_ndarray_sum_to_the_bit(operands):
     a, b = operands
     with np.errstate(all="ignore"):
         assert calibration._dot(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+
+
+def _reference_project(s, tau, f):
+    """The profile and its slope by one formula on the whole grid, as the fit
+    computed them before it left the slope to _slope: SSR, n0, mu, r, g, h."""
+    dot = calibration._dot
+    ms_tau = -s * tau
+    e = np.exp(ms_tau)
+    phi = np.expm1(ms_tau) / -s
+    ee = dot(e, e)
+    c = dot(e, phi) / ee
+    w = phi - c * e
+    ww = dot(w, w)
+    mu = np.maximum(dot(w, f), 0.0) / ww
+    n0 = dot(e, f) / ee - mu * c
+    mu_phi = mu * phi
+    r = f - n0 * e - mu_phi
+    d = (n0 * ms_tau + mu * tau) * e - mu_phi
+    pd = d - dot(e, d) / ee * e
+    pd = pd - dot(w, pd) / ww * (mu > 0) * w
+    return dot(r, r), n0, mu, r, -2.0 * dot(r, d), 2.0 * dot(pd, pd)
+
+
+@st.composite
+def _scaled_series(draw):
+    """(tau, f) as fit_growth forms them: elapsed years over the span, and the
+    data over a power of two near their largest value."""
+    if draw(st.booleans()):
+        data = draw(_interior_or_near_linear_series())
+        years, fleet = data.years, data.fleet
+    else:
+        steps = draw(st.lists(st.integers(1, 10), min_size=2, max_size=39))
+        years = np.cumsum([0, *steps])
+        fleet = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(years), max_size=len(years)))
+    t = np.array([y - years[0] for y in years], dtype=float)
+    f = np.array(fleet) / math.ldexp(1.0, math.frexp(max(fleet))[1])
+    return t / t[-1], f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scaled_series(), st.floats(1e-12, 1e2))
+@example((np.array([0.0, 0.8, 1.0]), np.full(3, 0.512)), 1.0)  # a row sum of negative zeros
+def test_slope_is_the_full_grid_slope_to_the_bit(series, rate):
+    tau, f = series
+    rates = calibration._RATES
+    *profile, grad, curv = _reference_project(rates, tau[:, None], f[:, None])
+    ssr, n0, mu, r, terms = calibration._project(rates, tau[:, None], f[:, None])
+    assert [a.tobytes() for a in (ssr, n0, mu, r)] == [a.tobytes() for a in profile]
+    # a scan column, summed in the scan's row order
+    for k in range(len(rates)):
+        column = [a[..., k] for a in terms]
+        g, h = calibration._slope(tau, float(n0[k]), float(mu[k]), r[:, k], column,
+                                  calibration._row_dot)
+        assert bits((g, h)) == bits((grad[k], curv[k])), k
+    # a Newton candidate
+    *profile, grad, curv = _reference_project(rate, tau, f)
+    ssr, n0, mu, r, terms = calibration._project(rate, tau, f)
+    assert bits((ssr, n0, mu)) == bits(profile[:3]) and r.tobytes() == profile[3].tobytes()
+    g, h = calibration._slope(tau, float(n0), float(mu), r, terms, calibration._dot)
+    assert bits((g, h)) == bits((grad, curv))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -839,6 +956,52 @@ def test_load_fleet_csv_is_the_per_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "reference.csv"
     path.write_text(text)
     assert _load_outcome(load_fleet_csv, path) == _load_outcome(_reference_load, path)
+
+
+# Files whose bytes a text-mode read would translate or trip on: the
+# reference reads each through open(newline="", encoding="utf-8").
+_RAW_FLEET_FILES = {
+    "crlf": b"year,fleet_mveh\r\n1971,8.0\r\n1976,10.0\r\n",
+    "crlf defect": b"year,fleet_mveh\r\n1971,8.0\r\n\r\n1966,9.0\r\n",
+    "bare cr": b"year,fleet_mveh\r1971,8.0\r1976,10.0\r",
+    "bare cr defect": b"year,fleet_mveh\r1971,8.0\r\r1976,x\r",
+    "mixed endings": b"year,fleet_mveh\r\n1971,8.0\r1976,10.0\n1981,11.0",
+    "quoted": b'"year","fleet_mveh"\n"1971","8.0"\n1976,"10.0"\n',
+    "quoted line break": b'year,fleet_mveh\n"1971\r\n",8.0\n1976,10.0\n1976,11.0\n',
+    "quoted comma": b'year,fleet_mveh\n1971,8.0\n1976,"10,0"\n',
+    "bom": b"\xef\xbb\xbfyear,fleet_mveh\n1971,8.0\n",
+    "blank lines": b"year,fleet_mveh\n\n1971,8.0\r\n\r\n \n1976,10.0\n\n",
+    "non-ascii": "year,fleet_mveh\n1971,8.0\n1976,\u0661\u0660.5\n".encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_FLEET_FILES))
+def test_load_fleet_csv_reads_raw_bytes_as_a_text_file_does(tmp_path, name):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(_RAW_FLEET_FILES[name])
+    outcome = _load_outcome(load_fleet_csv, path)
+    assert outcome == _load_outcome(_reference_load, path)
+    if name in ("crlf", "bare cr", "quoted", "blank lines"):
+        assert outcome == ((1971, 1976), bits((8.0, 10.0)))
+    if name == "bom":
+        assert outcome == (ParseError, f"{path}: line 1: expected header 'year,fleet_mveh', "
+                                        "got '\\ufeffyear,fleet_mveh'")
+
+
+@pytest.mark.parametrize("raw, line, offset, reason", [
+    (b"year,fleet_mveh\n1971,8.0\n1976,\xff10.0\n", 3, 30, "invalid start byte"),
+    (b"year,fleet_mveh\r\n1971,8.0\r\n\r\n1976,1\xe9\r\n", 4, 35, "invalid continuation byte"),
+    (b"year,fleet_mveh\r1971,8.0\r\xc3", 3, 25, "unexpected end of data"),
+    (b"\xfe\xffyear,fleet_mveh\n", 1, 0, "invalid start byte"),
+    # the bytes are refused before the rows are read, so before this nan
+    (b"year,fleet_mveh\n1971,nan\n1976,\xed\xa0\x80\n", 3, 30, "invalid continuation byte"),
+])
+def test_load_fleet_csv_refuses_a_file_that_is_not_utf8(tmp_path, raw, line, offset, reason):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        load_fleet_csv(path)
+    assert str(exc.value) == f"{path}: line {line}: not UTF-8 text, {reason} at byte {offset}"
 
 
 def test_load_fleet_csv_names_a_defect_only_for_a_failing_row(tmp_path, monkeypatch):

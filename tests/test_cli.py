@@ -142,6 +142,38 @@ def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --t0 must be finite, got inf\n"
 
 
+_CUSTOM = ["--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005", "--epsilon", "0.005",
+           "--mu_c", "0.65", "--mu_h", "0.35"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "-1", "--t0", "1960", "--t1", "2020"],
+     "--n0", "-1.0"),
+    (["scenario", *_CUSTOM, "--y0", "-1"], "--y0", "-1.0"),
+    (["scenario", *_CUSTOM, "--x0", "-2.5", "--y0", "-1"], "--x0", "-2.5"),
+])
+def test_negative_initial_fleet_names_the_flag(tmp_path, capsys, argv, flag, value):
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be non-negative, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, text, key, line", [
+    ("growth", "gamma = 0.01\nmu = 0.65\nn0 = -2\nt0 = 1960\nt1 = 2020\n", "n0", 3),
+    ("scenario", "x0 = 28.95\n# hydrogen\ny0 = -0.5\n", "y0", 3),
+])
+def test_negative_initial_fleet_names_the_config_line(tmp_path, capsys, command, text, key,
+                                                      line):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert run_cli(*argv, *(_CUSTOM if command == "scenario" else [])) == 2
+    value = float(text.split(f"{key} = ")[1].split()[0])
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line {line}: {key} must be non-negative, got {value}\n"
+    )
+
+
 def test_growth_integrator_blowup_exits_1(tmp_path):
     # a stable step, but the fleet heads for mu/gamma = 1e310, past the floats
     code = run_cli(
@@ -318,6 +350,31 @@ def test_config_non_finite_value_names_file_line_and_key(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}: line 2: mu_h must be finite, got nan\n"
 
 
+@pytest.mark.parametrize("raw, line, offset", [
+    (b"mu_c = 0.5\nmu_h = 0.\xff\n", 2, 20),
+    (b"mu_c = 0.5\r\n# caf\xe9\r\nmu_h = 0.3\r\n", 2, 17),
+    (b"mu_c = 0.5\rmu_h = 0.3\r\xc3", 3, 22),
+])
+def test_config_that_is_not_utf8_names_file_and_line(tmp_path, capsys, raw, line, offset):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(raw)
+    assert run_cli("sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line {line}: not UTF-8 text, ")
+    assert err.endswith(f" at byte {offset}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_lines_end_as_in_a_text_file(tmp_path):
+    cfg = tmp_path / "endings.cfg"
+    cfg.write_bytes(b"mu_h = 0.3\r\n\rmu_c = 0.4\r# a = 1\n\x0ca = 0.02\n")
+    args = build_parser().parse_args(["sensitivity", "--config", str(cfg)])
+    resolve(args, COMMANDS["sensitivity"])
+    assert (args.mu_h, args.mu_c, args.a) == (0.3, 0.4, 0.02)
+    assert args.given == {"mu_h": f"{cfg}: line 1: mu_h", "mu_c": f"{cfg}: line 3: mu_c",
+                          "a": f"{cfg}: line 5: a"}
+
+
 def test_resolve_precedence_flag_config_default(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("mu_h = 0.3\nmu_c = 0.4\n")
@@ -435,6 +492,16 @@ def test_fit_csv_errors_match_the_fit_for_large_years(tmp_path, capsys):
 
 def test_fit_missing_file_exits_2(tmp_path):
     assert run_cli("fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
+
+
+def test_fit_data_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    csv = tmp_path / "latin.csv"
+    csv.write_bytes(b"year,fleet_mveh\n1971,8.0\n1976,10.0\xff\n1981,nan\n")
+    assert run_cli("fit", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 3: not UTF-8 text, invalid start byte at byte 34\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------- sensitivity
@@ -847,17 +914,29 @@ def _fleet_data(draw):
     return "\n".join([draw(st.sampled_from(_HEADERS)), *lines]) + "\n"
 
 
+# Byte sequences that are not UTF-8 wherever they stand in ASCII text: a stray
+# continuation byte, bytes never used, cut-off sequences and a surrogate.
+_NOT_UTF8 = [b"\x80", b"\xff", b"\xfe\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
 @pytest.mark.parametrize("command", ["fit", *_CONFIG])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_no_input_file_raises_or_writes_a_non_finite_number(command, data):
     text = data.draw(_fleet_data() if command == "fit" else _config_file(command))
+    raw = text.encode("utf-8")
+    bad = data.draw(st.sampled_from([None] * 3 + _NOT_UTF8))
+    if bad is not None:  # the file is raw bytes, no longer UTF-8
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + bad + raw[at:]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         path, out = Path(tmp) / "input", Path(tmp) / "out"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(raw)
         flag = "--data" if command == "fit" else "--config"
-        assert main([command, flag, str(path), "--out", str(out)]) in (0, 1, 2)
+        code = main([command, flag, str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert code == 2 or bad is None, (command, raw)
         cells = [cell for written in (out.iterdir() if out.exists() else ())
                  for line in written.read_text().splitlines() for cell in line.split(",")]
     for cell in cells:
