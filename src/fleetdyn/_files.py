@@ -23,8 +23,8 @@ def read_text(path) -> str:
     """The content of `path` decoded as UTF-8.
 
     Bytes that are not UTF-8 raise ParseError naming the file and the line
-    of the first bad byte. Lines end at \\n, \\r or \\r\\n, as in universal
-    newlines and the csv module.
+    of the first bad byte, counted in physical lines. Lines end at \\n, \\r
+    or \\r\\n, as in universal newlines and the csv module.
     """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()

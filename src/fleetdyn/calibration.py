@@ -277,9 +277,8 @@ def fit_growth(data: FleetSeries) -> FitResult:
             f"gamma * span = {_RATES[k]:g}",
             best=result(*point, 0, "not converged"),
         )
-    g, h = _slope(tau, *point[2:], [a[..., k] for a in terms], _row_dot)
-    if k == 0:
-        g = _EDGE * slope
+    grad, h = _slope(tau, *point[2:], [a[..., k] for a in terms], _row_dot)
+    g = _EDGE * slope if k == 0 else grad
     lo, hi = _LOG_RATES[max(k - 1, 0)], _LOG_RATES[k + 1]
 
     steps = 0
@@ -316,8 +315,10 @@ def load_fleet_csv(path) -> FleetSeries:
     """Read a `year,fleet_mveh` CSV into a validated FleetSeries.
 
     The file is read and decoded as UTF-8 in one pass (read_text), so bytes
-    that are not UTF-8 are a ParseError naming the file and the line; its
-    lines split as in a file opened with newline="".
+    that are not UTF-8 are a ParseError naming the file and the physical
+    line; its lines split as in a file opened with newline="". The other
+    errors number a row by CSV record, which differs from the physical line
+    after a quoted field that holds a line break.
 
     Each row is checked against the FleetSeries rules as it is read, and the
     first row that breaks one is reported with its file and line. A row
