@@ -7,10 +7,13 @@ failure. Every command is deterministic: the same invocation produces
 byte-identical files. Numeric output uses fixed 6-decimal formatting.
 
 COMMANDS declares each subcommand's parameters once; flags, config keys,
-defaults and input checks come from it. growth, scenario and sensitivity
-also read a flat `key = value` file (`#` comments) given with --config: a
-flag wins over the file, the file over the default. The output directory
-defaults to ./out, overridable with FLEETDYN_OUT or the --out flag.
+defaults and range rules come from it, and `resolve` is the one place that
+checks a number the user set, naming its flag or config line. growth,
+scenario and sensitivity also read a flat `key = value` file (`#` comments)
+given with --config: a flag wins over the file, the file over the default.
+A negative number parses as a flag's value in every float form, `-1e3`
+and `-inf` included. The output directory defaults to ./out, overridable
+with FLEETDYN_OUT or the --out flag.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import io
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -26,7 +30,10 @@ from typing import Callable, NamedTuple
 from . import scenarios
 from ._files import read_text, write_text
 from .dynamics import (
-    _NONNEGATIVE,
+    _FINITE,
+    _FRACTION,
+    _NONNEGATIVE_FINITE,
+    _POSITIVE_FINITE,
     RK4_REAL_BOUND,
     FleetState,
     GrowthParams,
@@ -40,14 +47,22 @@ from .errors import ModelError, ParseError, ValidationError
 
 REQUIRED = "required"
 
+# argparse reads "-1e3" or "-inf" as an option; this takes every negative float literal as a value.
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+
 
 class Param(NamedTuple):
-    """Flag `--name` and config key `name`; default is a value, REQUIRED or None (unset)."""
+    """Flag `--name` and config key `name`; default is a value, REQUIRED or None (unset).
+
+    rule is a numeric parameter's `(lo, hi, text)` range rule from dynamics,
+    applied by `resolve` to a value the user set; defaults are not checked.
+    """
 
     name: str
     help: str
-    type: Callable = float
+    rule: tuple | None = None
     default: object = None
+    type: Callable = float
     choices: tuple | None = None
 
 
@@ -81,7 +96,8 @@ def load_config(path) -> dict[str, tuple[int, str]]:
 def resolve(args, command: Command) -> None:
     """Set each parameter from its flag, else the config file, else its default.
 
-    `args.given` maps each parameter the user set to its flag or config line.
+    `args.given` maps each parameter the user set to its flag or config line,
+    and a set value that breaks the parameter's rule is refused under that name.
     """
     cfg = load_config(args.config) if getattr(args, "config", None) else {}
     names = [p.name for p in command.params]
@@ -106,8 +122,8 @@ def resolve(args, command: Command) -> None:
             raise ValidationError(f"--{p.name} is required")
         else:
             value = p.default
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{args.given[p.name]} must be finite, got {value}")
+        if p.rule and p.name in args.given:
+            _checked(p.rule, args.given[p.name], value)
         setattr(args, p.name, value)
 
 
@@ -130,7 +146,6 @@ _TARGET_HEADER = "year,metric,expected,tolerance,observed,pass\n"
 
 def cmd_growth(args) -> int:
     params = GrowthParams(gamma=args.gamma, mu=args.mu)
-    _checked(_NONNEGATIVE, args.given["n0"], args.n0)
     initial = FleetState(args.t0, args.n0, 0.0)
     if args.dt * params.gamma > RK4_REAL_BOUND:
         largest = math.nextafter(RK4_REAL_BOUND / params.gamma, math.inf)
@@ -159,15 +174,13 @@ def cmd_scenario(args) -> int:
             raise ValidationError(f"{clash[0]} cannot be set with --name, a builtin scenario")
         spec = scenarios.builtin_scenario(args.name)
     else:
-        model = {key: getattr(args, key) for key, _, _ in _LVM}
+        model = {p.name: getattr(args, p.name) for p in _LVM}
         missing = [k for k, v in model.items() if v is None]
         if missing:
             raise ValidationError(
                 "custom scenario needs all model parameters; missing: " + ", ".join(missing)
             )
         params = LvmParams(**model)
-        for key in ("x0", "y0"):
-            _checked(_NONNEGATIVE, args.given.get(key, f"--{key}"), getattr(args, key))
         spec = scenarios.ScenarioSpec(
             name="custom",
             params=params,
@@ -224,7 +237,7 @@ def cmd_fit(args) -> int:
 def cmd_sensitivity(args) -> int:
     from . import analytics
 
-    params = LvmParams(**{key: getattr(args, key) for key, _, _ in _LVM})
+    params = LvmParams(**{p.name: getattr(args, p.name) for p in _LVM})
 
     equilibrium = analytics.asymptotic_state(params)
     stability = analytics.classify_stability(params)
@@ -288,49 +301,49 @@ def cmd_batch(args) -> int:
     return 0
 
 
-# The competition model's parameters: name, help, and the value of the
-# published gradient study that `sensitivity` defaults to.
+# The competition model's parameters, defaulting to the values of the
+# published gradient study, as `sensitivity` takes them.
 _LVM = (
-    ("gamma_c", "conventional-fleet rate, 1/year", 0.01),
-    ("gamma_h", "hydrogen-fleet rate, 1/year", 0.01),
-    ("a", "competition coefficient a, 1/(year*Mveh)", 0.01),
-    ("epsilon", "competition coefficient epsilon, 1/(year*Mveh)", 0.01),
-    ("mu_c", "conventional resource inflow, Mveh/year", 0.65),
-    ("mu_h", "hydrogen resource inflow, Mveh/year", 0.65),
+    Param("gamma_c", "conventional-fleet rate, 1/year", _POSITIVE_FINITE, 0.01),
+    Param("gamma_h", "hydrogen-fleet rate, 1/year", _POSITIVE_FINITE, 0.01),
+    Param("a", "competition coefficient a, 1/(year*Mveh)", _POSITIVE_FINITE, 0.01),
+    Param("epsilon", "competition coefficient epsilon, 1/(year*Mveh)", _POSITIVE_FINITE, 0.01),
+    Param("mu_c", "conventional resource inflow, Mveh/year", _NONNEGATIVE_FINITE, 0.65),
+    Param("mu_h", "hydrogen resource inflow, Mveh/year", _NONNEGATIVE_FINITE, 0.65),
 )
 
 COMMANDS = {
     "growth": Command(cmd_growth, "simulate the first-order growth model", (
-        Param("gamma", "growth rate, 1/year", default=REQUIRED),
-        Param("mu", "resource inflow, Mveh/year", default=REQUIRED),
-        Param("n0", "initial fleet, Mveh", default=REQUIRED),
-        Param("t0", "start year", default=REQUIRED),
-        Param("t1", "end year", default=REQUIRED),
-        Param("dt", "integration step, years", default=0.1),
+        Param("gamma", "growth rate, 1/year", _POSITIVE_FINITE, REQUIRED),
+        Param("mu", "resource inflow, Mveh/year", _NONNEGATIVE_FINITE, REQUIRED),
+        Param("n0", "initial fleet, Mveh", _NONNEGATIVE_FINITE, REQUIRED),
+        Param("t0", "start year", _FINITE, REQUIRED),
+        Param("t1", "end year", _FINITE, REQUIRED),
+        Param("dt", "integration step, years", _POSITIVE_FINITE, 0.1),
     ), config=True),
     "scenario": Command(cmd_scenario, "run a named or custom transition scenario", (
         Param("name", "builtin scenario, set alone; without it all six model parameters "
-              "are required", str, choices=scenarios.BUILTIN_SCENARIO_NAMES),
-        *(Param(key, text) for key, text, _ in _LVM),
-        Param("x0", "initial conventional fleet, Mveh", default=scenarios.START_CONVENTIONAL),
-        Param("y0", "initial hydrogen fleet, Mveh", default=scenarios.START_HYDROGEN),
-        Param("t0", "start year", default=scenarios.START_YEAR),
-        Param("t_end", "end year", default=scenarios.END_YEAR),
-        Param("dt", "integration step, years", default=scenarios.DEFAULT_DT),
+              "are required", type=str, choices=scenarios.BUILTIN_SCENARIO_NAMES),
+        *(p._replace(default=None) for p in _LVM),
+        Param("x0", "initial conventional fleet, Mveh", _NONNEGATIVE_FINITE,
+              scenarios.START_CONVENTIONAL),
+        Param("y0", "initial hydrogen fleet, Mveh", _NONNEGATIVE_FINITE, scenarios.START_HYDROGEN),
+        Param("t0", "start year", _FINITE, scenarios.START_YEAR),
+        Param("t_end", "end year", _FINITE, scenarios.END_YEAR),
+        Param("dt", "integration step, years", _POSITIVE_FINITE, scenarios.DEFAULT_DT),
     ), config=True),
     "fit": Command(cmd_fit, "fit the growth model to a fleet CSV", (
-        Param("data", "CSV file with header year,fleet_mveh", str, REQUIRED),
+        Param("data", "CSV file with header year,fleet_mveh", default=REQUIRED, type=str),
     )),
-    "sensitivity": Command(cmd_sensitivity, "equilibrium and parameter gradients", tuple(
-        Param(key, text, default=default) for key, text, default in _LVM
-    ), config=True),
+    "sensitivity": Command(cmd_sensitivity, "equilibrium and parameter gradients", _LVM,
+                           config=True),
     "infra": Command(cmd_infra, "refuelling-station deployment plan", (
-        Param("id", "deployment scenario S1..S4", str, REQUIRED),
-        Param("uptake", "Mveh/year absorbed", default=0.35),
-        Param("horizon", "build horizon in years", int, 30),
-        Param("basis", "station support model; 'annual' is a sensitivity variant", str,
-              "daily", ("daily", "annual")),
-        Param("utilization", "station utilization factor", default=1.0),
+        Param("id", "deployment scenario S1..S4", default=REQUIRED, type=str),
+        Param("uptake", "Mveh/year absorbed", _POSITIVE_FINITE, 0.35),
+        Param("horizon", "build horizon in years", _POSITIVE_FINITE, 30, int),
+        Param("basis", "station support model; 'annual' is a sensitivity variant",
+              default="daily", type=str, choices=("daily", "annual")),
+        Param("utilization", "station utilization factor", _FRACTION, 1.0),
     )),
     "batch": Command(cmd_batch, "run all builtin scenarios with target checks"),
 }
@@ -341,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fleetdyn",
         description="Fleet-growth and competition forecasting with infrastructure planning",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for p in command.params:
             note = "required" if p.default is REQUIRED else f"default {p.default}"
             sp.add_argument(f"--{p.name}", type=p.type, choices=p.choices,

@@ -56,6 +56,7 @@ _NONNEGATIVE = (0.0, _FMAX, "{} must be non-negative, got {}")
 _FINITE = (-_FMAX, _FMAX, "{} must be finite, got {}")
 _POSITIVE_FINITE = (_TINY, _FMAX, "{} must be positive and finite, got {}")
 _NONNEGATIVE_FINITE = (0.0, _FMAX, "{} must be non-negative and finite, got {}")
+_FRACTION = (_TINY, 1.0, "{} must be in (0, 1], got {}")
 _STATE_FINITE = (-_FMAX, _FMAX, "FleetState.{} must be finite, got {}")
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import write_text
-from .dynamics import _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _checked, _refuse, _shown
+from .dynamics import _FRACTION, _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _checked, _refuse, _shown
 from .errors import ValidationError
 
 __all__ = [
@@ -209,8 +209,7 @@ def vehicles_per_station_exact(
     st: StationSpec, v: VehicleSpec, basis: str = "daily", utilization: float = 1.0
 ) -> float:
     """Unrounded vehicles one station can support."""
-    if not 0 < utilization <= 1:
-        raise ValidationError(f"utilization must be in (0, 1], got {_shown(utilization)}")
+    _checked(_FRACTION, "utilization", utilization)
     if basis == "daily":
         return st.capacity_per_day * utilization / v.tank
     if basis == "annual":

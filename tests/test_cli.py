@@ -80,7 +80,7 @@ def test_growth_non_finite_horizon_or_step_exits_2(tmp_path, capsys):
     assert run_cli(*base, "--t1", "inf") == 2
     assert capsys.readouterr().err == "error: --t1 must be finite, got inf\n"
     assert run_cli(*base, "--t1", "2020", "--dt", "inf") == 2
-    assert capsys.readouterr().err == "error: --dt must be finite, got inf\n"
+    assert capsys.readouterr().err == "error: --dt must be positive and finite, got inf\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -154,7 +154,8 @@ _CUSTOM = ["--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005", "--epsilon"
 ])
 def test_negative_initial_fleet_names_the_flag(tmp_path, capsys, argv, flag, value):
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be non-negative, got {value}\n"
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be non-negative and finite, got {value}\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -170,7 +171,7 @@ def test_negative_initial_fleet_names_the_config_line(tmp_path, capsys, command,
     assert run_cli(*argv, *(_CUSTOM if command == "scenario" else [])) == 2
     value = float(text.split(f"{key} = ")[1].split()[0])
     assert capsys.readouterr().err == (
-        f"error: {cfg}: line {line}: {key} must be non-negative, got {value}\n"
+        f"error: {cfg}: line {line}: {key} must be non-negative and finite, got {value}\n"
     )
 
 
@@ -347,7 +348,8 @@ def test_config_non_finite_value_names_file_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("mu_c = 0.5\nmu_h = nan\n")
     assert run_cli("sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: line 2: mu_h must be finite, got nan\n"
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 2: mu_h must be non-negative and finite, got nan\n")
 
 
 @pytest.mark.parametrize("raw, line, offset", [
@@ -411,6 +413,86 @@ def test_table_key_is_accepted_in_config(cmd, param, tmp_path):
     resolve(args, COMMANDS[cmd])
     assert getattr(args, param.name) == param.type(text)
     assert args.given[param.name] == f"{cfg}: line 2: {param.name}"
+
+
+# Values every command runs from: each required parameter, and a custom scenario's model.
+_VALID = {
+    "growth": {"gamma": "0.01", "mu": "0.65", "n0": "0.38", "t0": "1960", "t1": "2020"},
+    "scenario": {flag[2:]: text for flag, text in zip(_CUSTOM[::2], _CUSTOM[1::2])},
+    "sensitivity": {},
+    "infra": {"id": "S1"},
+}
+
+
+def _outside_the_rule(param):
+    """Texts of values that break param.rule: nan and inf for a float, past
+    the float range for an int, and 0 or -1 where the rule's lower end is 0 or more."""
+    lo, _, _ = param.rule
+    values = ["nan", "inf"] if param.type is float else [str(10**310)]
+    if lo >= 0:
+        values.append("0" if lo > 0 else "-1")
+    return values
+
+
+def test_every_numeric_param_has_a_range_rule():
+    assert [(cmd, p.name) for cmd, c in COMMANDS.items() for p in c.params
+            if (p.type in (float, int)) != (p.rule is not None)] == []
+    assert set(_VALID) == {cmd for cmd, c in COMMANDS.items()
+                           if any(p.rule for p in c.params)}
+
+
+@pytest.mark.parametrize("cmd, param, value, source", [
+    (cmd, p, value, source)
+    for cmd, c in COMMANDS.items() for p in c.params if p.rule
+    for value in _outside_the_rule(p)
+    for source in ("flag", "config")[:1 + c.config]
+], ids=lambda v: v.name if hasattr(v, "rule") else v[:6])
+def test_a_value_outside_its_range_rule_names_its_flag_or_config_line(
+        tmp_path, capsys, cmd, param, value, source):
+    out = tmp_path / "o"
+    flags = {**_VALID[cmd], param.name: value}
+    if source == "config":
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"# out of range\n{param.name} = {flags.pop(param.name)}\n")
+        flags["config"] = str(cfg)
+        where = f"{cfg}: line 2: {param.name}"
+    else:
+        where = f"--{param.name}"
+    argv = [cmd, *(a for key, text in flags.items() for a in (f"--{key}", text))]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    text = param.rule[2].format(where, param.type(value))
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert text.startswith(f"{where} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1.5E-3", "-.5e2", "-1e+3", "-2.", "-1", "-1.5",
+                                   "-inf", "-Infinity", "-nan"])
+def test_a_negative_number_in_any_float_form_is_a_flag_value(value):
+    args = build_parser().parse_args(["growth", "--t0", value])
+    assert repr(args.t0) == repr(float(value))
+
+
+@pytest.mark.parametrize("value", ["-e3", "-1e", "-.", "-1.5.2", "-x1", "-in", "-nanx"])
+def test_a_dash_word_that_is_not_a_number_is_still_an_option(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["growth", "--t0", value])
+    assert exc.value.code == 2
+    assert "argument --t0: expected one argument" in capsys.readouterr().err
+
+
+def test_exponent_negatives_run_or_are_refused_by_the_range_rule(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38",
+                   "--t0", "-1e3", "--t1", "-9.9e2", "--out", str(out)) == 0
+    _, rows = read_rows(out / "growth.csv")
+    assert (rows[0][0], rows[-1][0], len(rows)) == ("-1000", "-990", 11)
+    capsys.readouterr()
+    assert run_cli("scenario", *_CUSTOM, "--x0", "-1e-300", "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == "error: --x0 must be non-negative and finite, got -1e-300\n"
+    assert run_cli("scenario", *_CUSTOM, "--t0", "-inf", "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == "error: --t0 must be finite, got -inf\n"
+    assert not (tmp_path / "s").exists()
 
 
 # -------------------------------------------------------------------- fit
@@ -635,7 +717,8 @@ def test_infra_uptake_scales(tmp_path):
 def test_infra_non_finite_uptake_exits_2(tmp_path, capsys, value):
     out = tmp_path / "o"
     assert run_cli("infra", "--id", "S2", "--uptake", value, "--out", str(out)) == 2
-    assert capsys.readouterr().err == f"error: --uptake must be finite, got {value}\n"
+    assert capsys.readouterr().err == (
+        f"error: --uptake must be positive and finite, got {value}\n")
     assert not out.exists()
 
 
@@ -648,8 +731,7 @@ def test_infra_non_finite_uptake_exits_2(tmp_path, capsys, value):
      "must support at least one whole vehicle"),
     ("--horizon", str(10**300), f"horizon {10**300} years at GBP 8.75e+09 a year puts the "
      "total capex beyond the float range"),
-    ("--horizon", str(10**310), f"horizon {10**310} years at GBP 8.75e+09 a year puts the "
-     "total capex beyond the float range"),
+    ("--horizon", str(10**310), f"--horizon must be positive and finite, got {10**310}"),
 ], ids=["count-overflow", "capex-overflow", "under-one-vehicle", "total-capex-inf",
         "horizon-beyond-float"])
 def test_infra_refuses_an_overflowing_plan(tmp_path, capsys, flag, value, message):

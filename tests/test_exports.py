@@ -203,6 +203,16 @@ def test_only_dynamics_compares_with_the_largest_float():
                     ("analytics", "finite_difference_sensitivity")} == set()
 
 
+def test_only_resolve_checks_a_cli_number():
+    # COMMANDS declares each parameter's range rule and resolve applies it,
+    # naming the flag or config line; a command that called _checked would
+    # be a second check site with its own wording.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    callers = {func for func, call in nodes_by_function(tree, ast.Call)
+               if getattr(call.func, "id", None) == "_checked"}
+    assert callers == {"resolve"}
+
+
 def test_series_entry_points_do_not_use_numpy():
     # A fleet series is plain tuples, checked row by row by one rule
     # function; numpy belongs to the fit's arithmetic only.
