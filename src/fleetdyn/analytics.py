@@ -10,10 +10,12 @@ approach) from a focus (damped oscillation), and the implicit function
 theorem gives the twelve analytic gradients of the asymptotes, which are
 paired with an independent central-difference verifier.
 
-The fixed point is globally attracting. For mu_c, mu_h >= 0 the closed
-positive quadrant is invariant, B = 1/(xy) is a Dulac function (no periodic
-orbit), and the fixed point is unique. By Poincare-Bendixson, every
-trajectory tends to it.
+The fixed point attracts every orbit of the closed positive quadrant with
+y0 > 0 or mu_h > 0: for mu_c, mu_h >= 0 the quadrant is invariant, B =
+1/(xy) is a Dulac function (no periodic orbit), and no other equilibrium
+attracts such an orbit, so Poincare-Bendixson applies. With mu_h = 0 an
+orbit from y0 = 0 stays on the axis y = 0 and tends to (mu_c/gamma_c, 0),
+a saddle, not the fixed point, where epsilon mu_c > gamma_c gamma_h.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import _FMAX, _POSITIVE_FINITE, LvmParams, _checked
+from .dynamics import _NONNEGATIVE_FINITE, _POSITIVE_FINITE, LvmParams, _checked
 from .errors import DegenerateCaseError, OracleError, ValidationError
 
 __all__ = [
@@ -43,7 +45,7 @@ PARAM_NAMES = ("mu_h", "mu_c", "epsilon", "a", "gamma_h", "gamma_c")
 
 
 class StabilityClass(Enum):
-    """How trajectories approach the fixed point, which is globally attracting."""
+    """How orbits approach the fixed point, which attracts every one with y0 > 0 or mu_h > 0."""
 
     MONOTONE_EQUILIBRIUM = "monotone-equilibrium"  # node: real eigenvalues
     DAMPED_OSCILLATION = "damped-oscillation"  # focus: complex eigenvalues
@@ -224,14 +226,15 @@ def finite_difference_sensitivity(
     h_rel = _checked(_POSITIVE_FINITE, "h_rel", h_rel)
     base = _coefficients(p)
     grads_h, grads_c = [], []
-    # PARAM_NAMES is the field order reversed; the last two fields are the sources
-    for i, name in zip(range(5, -1, -1), PARAM_NAMES):
+    # PARAM_NAMES is the field order reversed: the two sources, then the four rates
+    for i, name, (lo, hi, _) in zip(range(5, -1, -1), PARAM_NAMES,
+                                    (_NONNEGATIVE_FINITE,) * 2 + (_POSITIVE_FINITE,) * 4):
         h = h_rel * max(abs(base[i]), 1e-8)
         solved = []
         for v in (base[i] + h, base[i] - h):
             probe = base.copy()
             probe[i] = v
-            if not (0 < v <= _FMAX or v == 0 and i > 3):
+            if not lo <= v <= hi:
                 try:
                     LvmParams(*probe)
                 except ValidationError as exc:

@@ -91,7 +91,9 @@ class FleetSeries:
 def _row_defect(year, value, previous, first) -> str | None:
     """The first series rule a row breaks, or None. previous is the year of the
     row before, None for the first row; the rows before have passed."""
-    if not (year % 1 == 0 and _YEAR_MIN <= year <= _YEAR_MAX):
+    if not year % 1 == 0:
+        return f"year {year} is not a whole number"
+    if not _YEAR_MIN <= year <= _YEAR_MAX:
         return f"year {year} does not fit a 64-bit integer"
     if not (value > 0 and math.isfinite(value)):
         return f"fleet value {value} must be positive and finite"

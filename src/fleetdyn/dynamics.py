@@ -50,14 +50,12 @@ _MAX_STEPS = 10**6
 # For a float or an int, v >= _TINY, the least positive float, holds exactly
 # where v > 0, and v <= _FMAX holds for a float exactly where v < inf; an int
 # beyond the float range fails the comparison instead of overflowing math.isfinite.
+# One rule per interval, so a value is worded alike wherever it is refused.
 _FMAX, _TINY = sys.float_info.max, math.ulp(0.0)
-_POSITIVE = (_TINY, _FMAX, "{} must be strictly positive, got {}")
-_NONNEGATIVE = (0.0, _FMAX, "{} must be non-negative, got {}")
 _FINITE = (-_FMAX, _FMAX, "{} must be finite, got {}")
 _POSITIVE_FINITE = (_TINY, _FMAX, "{} must be positive and finite, got {}")
 _NONNEGATIVE_FINITE = (0.0, _FMAX, "{} must be non-negative and finite, got {}")
 _FRACTION = (_TINY, 1.0, "{} must be in (0, 1], got {}")
-_STATE_FINITE = (-_FMAX, _FMAX, "FleetState.{} must be finite, got {}")
 
 
 def _shown(v) -> str:
@@ -95,8 +93,8 @@ class GrowthParams:
     mu: float
 
     def __post_init__(self):
-        _refuse(self, _POSITIVE, "gamma")
-        _refuse(self, _NONNEGATIVE, "mu")
+        _refuse(self, _POSITIVE_FINITE, "gamma")
+        _refuse(self, _NONNEGATIVE_FINITE, "mu")
 
     @property
     def equilibrium(self) -> float:
@@ -120,7 +118,7 @@ class ClassicalLvmParams:
     epsilon: float
 
     def __post_init__(self):
-        _refuse(self, _POSITIVE, "gamma_c", "gamma_h", "a", "epsilon")
+        _refuse(self, _POSITIVE_FINITE, "gamma_c", "gamma_h", "a", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,8 @@ class LvmParams:
     mu_h: float
 
     def __post_init__(self):
-        _refuse(self, _POSITIVE, "gamma_c", "gamma_h", "a", "epsilon")
-        _refuse(self, _NONNEGATIVE, "mu_c", "mu_h")
+        _refuse(self, _POSITIVE_FINITE, "gamma_c", "gamma_h", "a", "epsilon")
+        _refuse(self, _NONNEGATIVE_FINITE, "mu_c", "mu_h")
 
 
 @dataclass(frozen=True)
@@ -150,8 +148,8 @@ class FleetState:
     """Fleet sizes at one instant: t in years, x conventional, y hydrogen (Mveh).
 
     Physically meaningful states have x >= 0 and y >= 0; this is enforced
-    where states enter as user input (require_nonnegative) but not on
-    integrator output: from a non-negative state the exact flow of the
+    where states enter as user input (ScenarioSpec's initial state) but not
+    on integrator output: from a non-negative state the exact flow of the
     growth, classical or competition model (mu >= 0) stays non-negative and
     bounded, so a negative or runaway sample is step error, and a general
     Field can still blow up, which a clamp would hide.
@@ -162,12 +160,7 @@ class FleetState:
     y: float
 
     def __post_init__(self):
-        _refuse(self, _STATE_FINITE, "t", "x", "y")
-
-    def require_nonnegative(self) -> "FleetState":
-        if self.x < 0 or self.y < 0:
-            raise ValidationError(f"fleet sizes must be non-negative, got ({self.x}, {self.y})")
-        return self
+        _refuse(self, _FINITE, "t", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -397,6 +390,7 @@ def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:
     n(t) = mu/gamma + (n0 - mu/gamma) * exp(-gamma * t), evaluated as the
     cancellation-free mix n0 * exp(-gamma t) + (mu/gamma) * (1 - exp(-gamma t)).
     """
+    n0 = _checked(_FINITE, "n0", n0)  # a fitted n0 may be negative
     t = _checked(_NONNEGATIVE_FINITE, "elapsed time", t)
     decay = math.exp(-p.gamma * t)
     return n0 * decay + p.equilibrium * (-math.expm1(-p.gamma * t))
@@ -409,6 +403,5 @@ def lv_conserved_quantity(s: FleetState, p: ClassicalLvmParams) -> float:
     open positive quadrant. Used to validate the integrator: RK4 drift of
     V measures the numerical error over an orbit.
     """
-    if s.x <= 0 or s.y <= 0:
-        raise ValidationError(f"conserved quantity needs x > 0 and y > 0, got ({s.x}, {s.y})")
-    return p.epsilon * s.x - p.gamma_h * math.log(s.x) + p.a * s.y - p.gamma_c * math.log(s.y)
+    x, y = _checked(_POSITIVE_FINITE, "x", s.x), _checked(_POSITIVE_FINITE, "y", s.y)
+    return p.epsilon * x - p.gamma_h * math.log(x) + p.a * y - p.gamma_c * math.log(y)

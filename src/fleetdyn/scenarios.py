@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from ._files import write_text
-from .dynamics import (_MAX_STEPS, FleetState, LvmParams, Trajectory, _grid, integrate,
-                       modified_system)
+from .dynamics import (_MAX_STEPS, _NONNEGATIVE_FINITE, FleetState, LvmParams, Trajectory,
+                       _checked, _grid, integrate, modified_system)
 from .errors import ValidationError
 
 __all__ = [
@@ -66,7 +66,8 @@ class ScenarioSpec:
     dt: float
 
     def __post_init__(self):
-        self.initial.require_nonnegative()
+        _checked(_NONNEGATIVE_FINITE, "initial.x", self.initial.x)
+        _checked(_NONNEGATIVE_FINITE, "initial.y", self.initial.y)
         _grid(self.initial.t, self.dt, self.t_end)
 
 

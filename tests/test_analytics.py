@@ -516,7 +516,7 @@ def test_fd_verifier_builds_parameters_only_to_refuse_a_probe(monkeypatch):
     calls.clear()
     outcome = _fd_outcome(finite_difference_sensitivity, MODERATE, 1.0)
     assert outcome == (OracleError, "perturbing epsilon by 0.005 leaves the parameter domain: "
-                                    "epsilon must be strictly positive, got 0.0")
+                                    "epsilon must be positive and finite, got 0.0")
     assert len(calls) == 1
     assert outcome == _fd_outcome(_reference_fd, MODERATE, 1.0)
 

@@ -75,9 +75,12 @@ def test_fleet_series_holds_tuples_of_ints_and_floats():
 
 
 @pytest.mark.parametrize("years, message", [
-    ((1971.5, 1976, 1981), r"^row 0: year 1971\.5 does not fit a 64-bit integer$"),
+    ((1971.5, 1976, 1981), r"^row 0: year 1971\.5 is not a whole number$"),
     ((2**70, 2**70 + 1, 2**70 + 2), rf"^row 0: year {2**70} does not fit a 64-bit integer$"),
-    ((1971, 1976, math.nan), r"^row 2: year nan does not fit a 64-bit integer$"),
+    ((2.0**70, 2.0**70 + 2**18, 2.0**70 + 2**19),
+     rf"^row 0: year {re.escape(str(2.0**70))} does not fit a 64-bit integer$"),
+    ((1971, 1976, math.nan), r"^row 2: year nan is not a whole number$"),
+    ((1971, 1976, math.inf), r"^row 2: year inf is not a whole number$"),
 ])
 def test_fleet_series_refuses_a_year_that_is_not_a_64_bit_integer(years, message):
     with pytest.raises(ValidationError, match=message):

@@ -82,25 +82,19 @@ def test_fleet_state_requires_finite_values():
 
 
 def test_fleet_state_error_names_the_value():
-    with pytest.raises(ValidationError, match=r"^FleetState\.t must be finite, got inf$"):
+    with pytest.raises(ValidationError, match=r"^t must be finite, got inf$"):
         FleetState(math.inf, 1.0, 0.0)
-    with pytest.raises(ValidationError, match=r"^FleetState\.y must be finite, got nan$"):
+    with pytest.raises(ValidationError, match=r"^y must be finite, got nan$"):
         FleetState(2020.0, 1.0, math.nan)
-
-
-def test_fleet_state_nonnegative_guard():
-    FleetState(2020.0, 28.95, 0.0).require_nonnegative()
-    with pytest.raises(ValidationError):
-        FleetState(2020.0, -1.0, 0.0).require_nonnegative()
 
 
 # The field rules as written before each became one chained comparison:
 # for each field, the test that refuses a value and the refusal's text.
 _REFUSED_POSITIVE = (lambda v: not (v > 0) or not math.isfinite(v),
-                     "{} must be strictly positive, got {}")
+                     "{} must be positive and finite, got {}")
 _REFUSED_NONNEGATIVE = (lambda v: not (v >= 0) or not math.isfinite(v),
-                        "{} must be non-negative, got {}")
-_REFUSED_NOT_FINITE = (lambda v: not math.isfinite(v), "FleetState.{} must be finite, got {}")
+                        "{} must be non-negative and finite, got {}")
+_REFUSED_NOT_FINITE = (lambda v: not math.isfinite(v), "{} must be finite, got {}")
 _RATES = ("gamma_c", "gamma_h", "a", "epsilon")
 _FIELD_RULES = {
     GrowthParams: {"gamma": _REFUSED_POSITIVE, "mu": _REFUSED_NONNEGATIVE},
@@ -183,7 +177,7 @@ def test_a_rate_refuses_a_positive_value_that_would_be_stored_as_zero(tiny):
     # tiny > 0, but float(tiny) == 0.0: a rate must stay strictly positive
     with pytest.raises(ValidationError) as exc:
         GrowthParams(tiny, 0.65)
-    assert str(exc.value) == f"gamma must be strictly positive, got {tiny}"
+    assert str(exc.value) == f"gamma must be positive and finite, got {tiny}"
     assert GrowthParams(0.01, tiny).mu == 0.0  # a source may be zero
 
 
@@ -217,6 +211,8 @@ _ENTRY_POINTS = {
                                          "total_stations must be non-negative and finite, got {}"),
     "growth_closed_form-t": (lambda v: growth_closed_form(GROWTH, 1.0, v),
                              "elapsed time must be non-negative and finite, got {}"),
+    "growth_closed_form-n0": (lambda v: growth_closed_form(GROWTH, v, 1.0),
+                              "n0 must be finite, got {}"),
     "Trajectory.sample": (lambda v: Trajectory(0.0, 1.0, 2.0, (0.0,) * 3, (0.0,) * 3).sample(v),
                           "time {} outside trajectory range [0.0, 2.0]"),
     "finite_difference_sensitivity-h_rel": (
@@ -676,9 +672,11 @@ def test_conserved_quantity_value_and_domain(orbit_params):
     expected = 1.0 + 2.0 / 3.0 + (2.0 / 3.0) * math.log(2.0)
     assert v == pytest.approx(expected, rel=1e-12)
     assert v == pytest.approx(2.1288, abs=5e-5)
-    for bad in ((0.0, 0.5), (1.0, -0.5)):
-        with pytest.raises(ValidationError):
+    for bad, text in (((0.0, 0.5), "x must be positive and finite, got 0.0"),
+                      ((1.0, -0.5), "y must be positive and finite, got -0.5")):
+        with pytest.raises(ValidationError) as exc:
             lv_conserved_quantity(FleetState(0.0, *bad), orbit_params)
+        assert str(exc.value) == text
 
 
 def test_conserved_quantity_minimum_at_fixed_point(orbit_params):
@@ -702,6 +700,9 @@ def test_growth_closed_form_limits():
     assert growth_closed_form(GROWTH, 0.38, 1e6) == pytest.approx(65.0, rel=1e-12)
     assert growth_closed_form(GROWTH, 0.38, 0.0) == 0.38
     assert growth_closed_form(GROWTH, 0.38, 140.0) == pytest.approx(49.07, abs=0.01)
+    # a fitted n0 may be negative, and an int within the float range is taken as a float
+    assert growth_closed_form(GROWTH, -1, 0.0) == -1.0
+    assert growth_closed_form(GROWTH, 10**300, 0.0) == 1e300
     with pytest.raises(ValidationError):
         growth_closed_form(GROWTH, 0.38, -1.0)
 
@@ -712,3 +713,13 @@ def test_growth_closed_form_refuses_an_elapsed_time_out_of_range(t):
     with pytest.raises(ValidationError) as exc:
         growth_closed_form(GROWTH, 0.38, t)
     assert str(exc.value) == f"elapsed time must be non-negative and finite, got {t}"
+
+
+@pytest.mark.parametrize("n0, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "1" + "0" * 400),
+])
+def test_growth_closed_form_refuses_an_initial_fleet_that_is_not_finite(n0, shown):
+    # nan used to come back as nan, and 10**400 to raise a bare OverflowError
+    with pytest.raises(ValidationError) as exc:
+        growth_closed_form(GROWTH, n0, 1.0)
+    assert str(exc.value) == f"n0 must be finite, got {shown}"

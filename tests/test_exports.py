@@ -190,8 +190,8 @@ def is_largest_float(node):
 def test_only_dynamics_compares_with_the_largest_float():
     # The range rules and their one check, _checked, live in dynamics. A
     # comparison with the largest float elsewhere is a second copy of the
-    # rule, allowed only in the two per-row and per-probe checks whose speed
-    # the study benchmark measures.
+    # rule, allowed only in the per-row check whose speed the study
+    # benchmark measures; the per-probe check reads its bounds from the rules.
     sites = {
         (path.stem, func)
         for path in PACKAGE.glob("*.py") if path.stem != "dynamics"
@@ -199,8 +199,23 @@ def test_only_dynamics_compares_with_the_largest_float():
                                            ast.Compare)
         if any(map(is_largest_float, ast.walk(cmp)))
     }
-    assert sites - {("calibration", "load_fleet_csv"),
-                    ("analytics", "finite_difference_sensitivity")} == set()
+    assert sites - {("calibration", "load_fleet_csv")} == set()
+
+
+def test_no_two_range_rules_share_an_interval():
+    # A range rule is a (lo, hi, text) tuple; one per interval, so a value
+    # is worded alike wherever it is refused. A rule imported elsewhere counts once.
+    rules = {}
+    for name in MODULES:
+        for attr, value in vars(importlib.import_module(f"fleetdyn.{name}")).items():
+            if (isinstance(value, tuple) and len(value) == 3 and isinstance(value[2], str)
+                    and all(isinstance(bound, float) for bound in value[:2])):
+                rules.setdefault(id(value), (f"{name}.{attr}", value))
+    by_interval = {}
+    for where, (lo, hi, _) in rules.values():
+        by_interval.setdefault((lo, hi), []).append(where)
+    assert len(rules) >= 4
+    assert [names for names in by_interval.values() if len(names) > 1] == []
 
 
 def test_only_resolve_checks_a_cli_number():

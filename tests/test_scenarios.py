@@ -68,8 +68,13 @@ def test_builtin_scenario_unknown_name():
 
 def test_scenario_spec_validation():
     params = LvmParams(0.01, 0.01, 0.005, 0.005, 0.65, 0.35)
-    with pytest.raises(ValidationError):
-        ScenarioSpec("bad", params, FleetState(2020.0, -1.0, 0.0), 2100.0, 0.1)
+    ScenarioSpec("ok", params, FleetState(2020.0, -0.0, 0.0), 2100.0, 0.1)
+    # a negative initial fleet is refused in its own words, before the frame is checked
+    for x, y, text in ((-1.0, 0.0, "initial.x must be non-negative and finite, got -1.0"),
+                       (1.0, -5e-324, "initial.y must be non-negative and finite, got -5e-324")):
+        with pytest.raises(ValidationError) as exc:
+            ScenarioSpec("bad", params, FleetState(2020.0, x, y), 2100.0, 0.0)
+        assert str(exc.value) == text
     with pytest.raises(ValidationError):
         ScenarioSpec("bad", params, FleetState(2020.0, 1.0, 0.0), 2010.0, 0.1)
     with pytest.raises(ValidationError):
@@ -193,8 +198,8 @@ def _rk4_factor(z):
 @given(st.integers(0, 2**64 - 1))
 def test_every_trajectory_tends_to_the_fixed_point(seed):
     # With mu_c, mu_h >= 0 the closed quadrant is invariant, the orbits are
-    # bounded, 1/(xy) is a Dulac function and the fixed point is unique, so
-    # by Poincare-Bendixson every orbit tends to asymptotic_state. The seed
+    # bounded, 1/(xy) is a Dulac function and for mu_h > 0 the fixed point is
+    # unique, so by Poincare-Bendixson every orbit tends to asymptotic_state. The seed
     # draws the domain's distributions: rates log-uniform in 1e-3..1, a and
     # epsilon in 1e-4..1e-1, sources uniform in 0..2, x0 in 0..50, y0 in 0..5.
     rng = np.random.default_rng(seed)
@@ -222,6 +227,21 @@ def test_every_trajectory_tends_to_the_fixed_point(seed):
     scale = max(fixed.x_inf, fixed.y_inf)
     assert abs(traj.final.x - fixed.x_inf) <= 1e-9 * scale
     assert abs(traj.final.y - fixed.y_inf) <= 1e-9 * scale
+
+
+def test_without_hydrogen_inflow_an_orbit_from_no_hydrogen_stays_on_the_axis():
+    # With mu_h = 0 the axis y = 0 is invariant: from y0 = 0 the orbit heads
+    # for (mu_c/gamma_c, 0) = (65, 0), a saddle here as epsilon mu_c > gamma_c
+    # gamma_h, and never for the fixed point (2, 63) that asymptotic_state
+    # reports. Any y0 > 0 does reach the fixed point.
+    p = LvmParams(0.01, 0.01, 0.005, 0.005, 0.65, 0.0)
+    fixed = asymptotic_state(p)
+    assert (fixed.x_inf, fixed.y_inf) == pytest.approx((2.0, 63.0), rel=1e-12)
+    on_axis = run_scenario(ScenarioSpec("axis", p, FleetState(2020.0, 28.95, 0.0), 5020.0, 0.5))
+    assert set(on_axis.y) == {0.0}
+    assert on_axis.final.x == pytest.approx(p.mu_c / p.gamma_c, rel=1e-12)
+    off_axis = run_scenario(ScenarioSpec("off", p, FleetState(2020.0, 28.95, 1e-6), 5020.0, 0.5))
+    assert (off_axis.final.x, off_axis.final.y) == pytest.approx((2.0, 63.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", BUILTIN_SCENARIO_NAMES)
