@@ -4,11 +4,14 @@ sensitivities of the competition model.
 Setting both rates of change to zero reduces the fixed point to a quadratic
 in each fleet. The two quadratics share one discriminant delta, reported as
 Equilibrium.delta, and it is never negative: the fixed point always exists.
-Everything else is read off the Jacobian J of the rates there, and needs
-0 < det J < inf: its trace and determinant separate a node (monotone
+Everything else is read off one linearisation, _linearise: the fixed point,
+solved once, with the Jacobian J of the rates there and det J, which must
+satisfy 0 < det J < inf. Its trace and determinant separate a node (monotone
 approach) from a focus (damped oscillation), and the implicit function
 theorem gives the twelve analytic gradients of the asymptotes, which are
-paired with an independent central-difference verifier.
+paired with an independent central-difference verifier. The `sensitivity`
+command reads its equilibrium, label and both gradients off one
+linearisation; asymptotic_state solves alone, as it must succeed where det J = 0.
 
 The fixed point attracts every orbit of the closed positive quadrant with
 y0 > 0 or mu_h > 0: for mu_c, mu_h >= 0 the quadrant is invariant, B =
@@ -116,17 +119,12 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     that an asymptote is not a finite float, or where an overflowed
     denominator would round to 0 an asymptote that a positive source keeps positive.
     """
-    x_inf, y_inf, sq = _asymptotes(p)
+    x_inf, y_inf, sq = _solve(*_coefficients(p))
     return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)
 
 
-def _asymptotes(p: LvmParams) -> tuple[float, float, float]:
-    """asymptotic_state's (x_inf, y_inf, sqrt(delta)), without building an Equilibrium."""
-    return _solve(*_coefficients(p))
-
-
 def _solve(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> tuple[float, float, float]:
-    """_asymptotes of the six coefficients, which must pass LvmParams' rules."""
+    """(x_inf, y_inf, sqrt(delta)) of the six coefficients, which must pass LvmParams' rules."""
     sq = _root_discriminant(gamma_c, gamma_h, a, epsilon, mu_c, mu_h)
     coupling = a * mu_h + epsilon * mu_c
     gg = gamma_c * gamma_h
@@ -147,8 +145,8 @@ def _solve(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> tuple[float, float, floa
     return x_inf, y_inf, sq
 
 
-def _linearise(p: LvmParams):
-    """The fixed point (x*, y*), the Jacobian J of the rates there, and det J.
+def _linearise(p: LvmParams) -> tuple[float, ...]:
+    """(x*, y*, sqrt(delta), J11, J12, J21, J22, det J) at the fixed point, from one solve.
 
     J = [[-gamma_c - a y*, -a x*], [eps y*, eps x* - gamma_h]]. Where y* > 0
     the fixed-point condition turns J22 into -mu_h / y*, free of the
@@ -156,7 +154,7 @@ def _linearise(p: LvmParams):
     sum of positive terms. Raises DegenerateCaseError unless 0 < det < inf;
     det = 0 at the transcritical point, where the fixed point is not hyperbolic.
     """
-    x, y, _ = _asymptotes(p)
+    x, y, sq = _solve(*_coefficients(p))
     j11 = -p.gamma_c - p.a * y
     j12 = -p.a * x
     j21 = p.epsilon * y
@@ -164,7 +162,16 @@ def _linearise(p: LvmParams):
     det = j11 * j22 - j12 * j21
     if not 0 < det < math.inf:
         raise DegenerateCaseError(f"det J = {det} at the fixed point ({x}, {y}), not in (0, inf)")
-    return x, y, (j11, j12), (j21, j22), det
+    return x, y, sq, j11, j12, j21, j22, det
+
+
+def _stability(lin) -> StabilityClass:
+    """classify_stability of a linearisation."""
+    _, _, _, j11, _, _, j22, det = lin
+    trace = j11 + j22
+    if trace * trace >= 4.0 * det:
+        return StabilityClass.MONOTONE_EQUILIBRIUM
+    return StabilityClass.DAMPED_OSCILLATION
 
 
 def classify_stability(p: LvmParams) -> StabilityClass:
@@ -175,22 +182,20 @@ def classify_stability(p: LvmParams) -> StabilityClass:
     (damped oscillation) otherwise. Raises DegenerateCaseError where det J
     is not a positive finite float.
     """
-    _, _, (j11, _), (_, j22), det = _linearise(p)
-    trace = j11 + j22
-    if trace * trace >= 4.0 * det:
-        return StabilityClass.MONOTONE_EQUILIBRIUM
-    return StabilityClass.DAMPED_OSCILLATION
+    return _stability(_linearise(p))
 
 
-def _gradient(x: float, y: float, r1: float, r2: float) -> SensitivityVector:
-    """One asymptote's gradient at the fixed point (x, y) from its row (r1, r2) of -J^-1.
+def _gradient(lin, hydrogen: bool) -> SensitivityVector:
+    """One asymptote's gradient from a linearisation and its row (r1, r2) of -J^-1.
 
-    By the implicit function theorem d(x*, y*)/dp = -J^-1 dF/dp, and for
-    every parameter dF/dp has a single nonzero entry: mu_h (0, 1), mu_c
-    (1, 0), epsilon (0, x* y*), a (-x* y*, 0), gamma_h (0, -y*), gamma_c
-    (-x*, 0). Each component is then one product, with no subtraction; a
-    non-finite one raises DegenerateCaseError.
+    By the implicit function theorem d(x*, y*)/dp = -J^-1 dF/dp, the rows
+    being (J21, -J11) / det for y* and (-J22, J12) / det for x*, and every
+    dF/dp has one nonzero entry: mu_h (0, 1), mu_c (1, 0), epsilon (0, x*
+    y*), a (-x* y*, 0), gamma_h (0, -y*), gamma_c (-x*, 0). Each component
+    is then one product, with no subtraction; a non-finite one raises DegenerateCaseError.
     """
+    x, y, _, j11, j12, j21, j22, det = lin
+    r1, r2 = (j21 / det, -j11 / det) if hydrogen else (-j22 / det, j12 / det)
     grad = (r2, r1, r2 * x * y, -r1 * x * y, -r2 * y, -r1 * x)
     if not all(map(math.isfinite, grad)):
         raise DegenerateCaseError(f"a gradient at the fixed point ({x}, {y}) is not finite")
@@ -199,14 +204,12 @@ def _gradient(x: float, y: float, r1: float, r2: float) -> SensitivityVector:
 
 def sensitivity_hydrogen(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the hydrogen asymptote y_inf."""
-    x, y, (j11, _), (j21, _), det = _linearise(p)
-    return _gradient(x, y, j21 / det, -j11 / det)
+    return _gradient(_linearise(p), hydrogen=True)
 
 
 def sensitivity_conventional(p: LvmParams) -> SensitivityVector:
     """Analytic gradient of the conventional asymptote x_inf."""
-    x, y, (_, j12), (_, j22), det = _linearise(p)
-    return _gradient(x, y, -j22 / det, j12 / det)
+    return _gradient(_linearise(p), hydrogen=False)
 
 
 def finite_difference_sensitivity(

@@ -239,10 +239,10 @@ def cmd_sensitivity(args) -> int:
 
     params = LvmParams(**{p.name: getattr(args, p.name) for p in _LVM})
 
-    equilibrium = analytics.asymptotic_state(params)
-    stability = analytics.classify_stability(params)
-    grad_h = analytics.sensitivity_hydrogen(params)
-    grad_c = analytics.sensitivity_conventional(params)
+    lin = analytics._linearise(params)
+    equilibrium = analytics.Equilibrium(lin[0], lin[1], lin[2] * lin[2])
+    grad_h = analytics._gradient(lin, hydrogen=True)
+    grad_c = analytics._gradient(lin, hydrogen=False)
 
     outdir = _outdir(args)
     path = outdir / "gradients.csv"
@@ -260,7 +260,7 @@ def cmd_sensitivity(args) -> int:
     print(f"x_inf     = {equilibrium.x_inf:.6f} Mveh")
     print(f"y_inf     = {equilibrium.y_inf:.6f} Mveh")
     print(f"total     = {equilibrium.total:.6f} Mveh")
-    print(f"stability = {stability.value}")
+    print(f"stability = {analytics._stability(lin).value}")
     print(f"wrote {path}")
     return 0
 
@@ -339,7 +339,8 @@ COMMANDS = {
                            config=True),
     "infra": Command(cmd_infra, "refuelling-station deployment plan", (
         Param("id", "deployment scenario S1..S4", default=REQUIRED, type=str),
-        Param("uptake", "Mveh/year absorbed", _POSITIVE_FINITE, 0.35),
+        Param("uptake", "fixed yearly hydrogen uptake the plan is sized for, Mveh/year; "
+              "the moderate builtin's mu_h", _POSITIVE_FINITE, 0.35),
         Param("horizon", "build horizon in years", _POSITIVE_FINITE, 30, int),
         Param("basis", "station support model; 'annual' is a sensitivity variant",
               default="daily", type=str, choices=("daily", "annual")),

@@ -98,7 +98,8 @@ class GrowthParams:
 
     @property
     def equilibrium(self) -> float:
-        """Fleet size ultimately supported by the resources, mu/gamma."""
+        """Fleet size ultimately supported by the resources, mu/gamma; inf
+        where the quotient overflows (mu = 1e300, gamma = 1e-300)."""
         return self.mu / self.gamma
 
 
@@ -389,11 +390,20 @@ def growth_closed_form(p: GrowthParams, n0: float, t: float) -> float:
 
     n(t) = mu/gamma + (n0 - mu/gamma) * exp(-gamma * t), evaluated as the
     cancellation-free mix n0 * exp(-gamma t) + (mu/gamma) * (1 - exp(-gamma t)).
+    Where mu/gamma (GrowthParams.equilibrium) overflows to inf, the second
+    term is mu * ((1 - exp(-gamma t)) / gamma), whose factor is at most t, so
+    the result is finite wherever mu t is. Where gamma t is below the normal
+    floats, and so carries too few bits, that factor is t to rounding.
     """
     n0 = _checked(_FINITE, "n0", n0)  # a fitted n0 may be negative
     t = _checked(_NONNEGATIVE_FINITE, "elapsed time", t)
     decay = math.exp(-p.gamma * t)
-    return n0 * decay + p.equilibrium * (-math.expm1(-p.gamma * t))
+    rise, equilibrium = -math.expm1(-p.gamma * t), p.equilibrium
+    if rise < sys.float_info.min:
+        return n0 * decay + p.mu * t
+    if equilibrium < math.inf:
+        return n0 * decay + equilibrium * rise
+    return n0 * decay + p.mu * (rise / p.gamma)
 
 
 def lv_conserved_quantity(s: FleetState, p: ClassicalLvmParams) -> float:

@@ -118,7 +118,9 @@ class DeploymentPlan:
     """
 
     scenario_id: str
-    uptake: float = 0.35  # Mveh/year absorbed by the hydrogen supply chain
+    # The fixed yearly hydrogen uptake, Mveh/year, the plan is sized for; the
+    # default is the moderate builtin's mu_h, not a value read from a trajectory.
+    uptake: float = 0.35
     horizon_years: int = 30
     basis: str = "daily"  # "daily" or "annual" support model
     utilization: float = 1.0

@@ -136,7 +136,11 @@ def compare_targets(traj: Trajectory, checks: list[TargetCheck]) -> list[TargetC
 
 
 def new_hydrogen_vehicles_per_year(traj: Trajectory, year: float) -> float:
-    """Hydrogen fleet growth rate (Mveh/year) by centred difference over one step."""
+    """Net growth dy/dt of the hydrogen fleet (Mveh/year) by centred difference over one step.
+
+    This is mu_h + eps x y - gamma_h y, the inflow less the retirements, not
+    the gross inflow mu_h + eps x y of new vehicles.
+    """
     dt = traj.step
     if not (traj.t0 + dt <= year <= traj.t_end - dt):
         raise ValidationError(f"year {year} must be at least one step "

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fleetdyn import ClassicalLvmParams, LvmParams, Trajectory, ValidationError
+from fleetdyn import ClassicalLvmParams, LvmParams, Trajectory, ValidationError, analytics
 from fleetdyn.dynamics import _grid
 
 # A runaway allocation fails its test with MemoryError instead of exhausting
@@ -29,9 +29,24 @@ def tab_grad_params():
 
 
 @pytest.fixture
+def solve_calls(monkeypatch):
+    """The arguments of each fixed-point solve, analytics._solve, the test makes."""
+    calls = []
+    solve = analytics._solve
+    monkeypatch.setattr(analytics, "_solve", lambda *coefficients: calls.append(coefficients)
+                        or solve(*coefficients))
+    return calls
+
+
+@pytest.fixture
 def orbit_params():
     """Classical predator-prey coefficients of the reference phase plot."""
     return ClassicalLvmParams(gamma_c=2.0 / 3.0, gamma_h=1.0, a=4.0 / 3.0, epsilon=1.0)
+
+
+# Rates log-uniform over the float range, sources too or exactly zero.
+anywhere = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+anywhere_or_zero = st.one_of(st.just(0.0), anywhere)
 
 
 def random_lvm_params(rng: np.random.Generator) -> LvmParams:

@@ -2,6 +2,7 @@
 sensitivity gradients against the finite-difference oracle."""
 
 import math
+import re
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, random_lvm_params
+from conftest import anywhere, anywhere_or_zero, bits, random_lvm_params
 from fleetdyn import (
     DegenerateCaseError,
     FleetState,
@@ -29,7 +30,7 @@ from fleetdyn import (
     sensitivity_conventional,
     sensitivity_hydrogen,
 )
-from fleetdyn.analytics import PARAM_NAMES, _asymptotes
+from fleetdyn.analytics import PARAM_NAMES, _linearise
 
 MODERATE = LvmParams(gamma_c=0.01, gamma_h=0.01, a=0.005, epsilon=0.005, mu_c=0.65, mu_h=0.35)
 # A focus: the Jacobian at the fixed point has eigenvalues -0.0147 +- 0.0102i.
@@ -379,9 +380,11 @@ def test_gradients_require_fixed_point():
         sensitivity_conventional(TRANSCRITICAL)
 
 
-# Rates log-uniform over the float range, sources too or exactly zero.
-anywhere = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
-anywhere_or_zero = st.one_of(st.just(0.0), anywhere)
+@pytest.mark.parametrize("reader", [asymptotic_state, classify_stability, sensitivity_hydrogen,
+                                    sensitivity_conventional], ids=lambda f: f.__name__)
+def test_each_public_reader_solves_the_fixed_point_once(reader, solve_calls):
+    reader(MODERATE)
+    assert solve_calls == [(0.01, 0.01, 0.005, 0.005, 0.65, 0.35)]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -484,13 +487,18 @@ def test_fd_verifier_is_the_equilibrium_built_reference(p, h_rel):
     if p.mu_c == 0 or p.mu_h == 0:
         # the probe below a zero source leaves the domain, if no probe before it is degenerate
         assert outcome[0] in (OracleError, DegenerateCaseError)
+    # the linearisation that sensitivity reads holds the Equilibrium's bits, or refuses
     try:
         eq = asymptotic_state(p)
-    except DegenerateCaseError:
-        with pytest.raises(DegenerateCaseError):
-            _asymptotes(p)
+    except DegenerateCaseError as exc:
+        with pytest.raises(DegenerateCaseError, match=f"^{re.escape(str(exc))}$"):
+            _linearise(p)
         return
-    x_inf, y_inf, sq = _asymptotes(p)
+    try:
+        x_inf, y_inf, sq = _linearise(p)[:3]
+    except DegenerateCaseError as exc:
+        assert str(exc).startswith("det J = "), exc
+        return
     assert bits((eq.x_inf, eq.y_inf, eq.delta)) == bits((x_inf, y_inf, sq * sq))
 
 

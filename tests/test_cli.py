@@ -10,16 +10,25 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import anywhere, anywhere_or_zero
 from fleetdyn import (
+    DegenerateCaseError,
     GrowthParams,
+    LvmParams,
     ValidationError,
+    asymptotic_state,
+    classify_stability,
     fit_growth,
     growth_closed_form,
     load_fleet_csv,
+    pseudo_log,
+    sensitivity_conventional,
+    sensitivity_hydrogen,
 )
+from fleetdyn.analytics import PARAM_NAMES
 from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -688,6 +697,51 @@ def test_sensitivity_overflowing_discriminant_has_finite_asymptotes(tmp_path, ca
     assert printed["x_inf    "] == "0.000000 Mveh"
     assert float(printed["y_inf    "].removesuffix(" Mveh")) == pytest.approx(y_inf, rel=1e-12)
     assert (out / "gradients.csv").exists()
+
+
+def test_sensitivity_solves_the_fixed_point_once(tmp_path, solve_calls):
+    assert run_cli("sensitivity", "--out", str(tmp_path)) == 0
+    assert solve_calls == [(0.01, 0.01, 0.01, 0.01, 0.65, 0.65)]
+
+
+def _reference_sensitivity(p, out):
+    """sensitivity's (exit code, stdout, stderr, gradients.csv or None),
+    assembled from the four public analytics calls in the order it made them
+    when each solved the fixed point itself."""
+    try:
+        eq = asymptotic_state(p)
+        stability = classify_stability(p)
+        grad_h = sensitivity_hydrogen(p)
+        grad_c = sensitivity_conventional(p)
+    except DegenerateCaseError as exc:
+        return 1, "", f"model failure: {exc}\n", None
+    path = Path(out) / "gradients.csv"
+    csv = "param,grad_hydrogen,grad_conventional,plog_hydrogen,plog_conventional\n" + "".join(
+        f"{name},{grad_h[name]:.6e},{grad_c[name]:.6e},"
+        f"{pseudo_log(grad_h[name]):.6f},{pseudo_log(grad_c[name]):.6f}\n" for name in PARAM_NAMES)
+    stdout = (f"delta     = {eq.delta:.6e}\nx_inf     = {eq.x_inf:.6f} Mveh\n"
+              f"y_inf     = {eq.y_inf:.6f} Mveh\ntotal     = {eq.total:.6f} Mveh\n"
+              f"stability = {stability.value}\nwrote {path}\n")
+    return 0, stdout, "", csv
+
+
+# The domain of test_analytics.py::test_finite_fixed_point_and_signed_gradients_or_refusal.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.builds(LvmParams, anywhere, anywhere, anywhere, anywhere,
+                 anywhere_or_zero, anywhere_or_zero))
+@example(LvmParams(0.25, 0.5, 0.05, 0.25, 0.5, 0.0))  # the transcritical point: det J = 0
+@example(LvmParams(1e160, 1e160, 0.01, 0.01, 0.65, 0.65))  # gamma_c gamma_h overflows
+@example(LvmParams(0.01, 0.01, 1e200, 0.01, 0.65, 1e200))  # a mu_h overflows, still a failure
+def test_sensitivity_writes_what_the_four_public_calls_give(p):
+    argv = [arg for name in PARAM_NAMES for arg in (f"--{name}", repr(getattr(p, name)))]
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(["sensitivity", *argv, "--out", out])
+        path = Path(out) / "gradients.csv"
+        written = path.read_text() if path.exists() else None
+        expected = _reference_sensitivity(p, out)
+    assert (code, stdout.getvalue(), stderr.getvalue(), written) == expected
 
 
 # ------------------------------------------------------------------ infra

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, numpy_grid, random_trajectories
+from conftest import anywhere, anywhere_or_zero, bits, numpy_grid, random_trajectories
 from fleetdyn import (
     ClassicalLvmParams,
     DeploymentPlan,
@@ -705,6 +705,26 @@ def test_growth_closed_form_limits():
     assert growth_closed_form(GROWTH, 10**300, 0.0) == 1e300
     with pytest.raises(ValidationError):
         growth_closed_form(GROWTH, 0.38, -1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.builds(GrowthParams, anywhere, anywhere_or_zero), anywhere_or_zero, anywhere_or_zero)
+@example(GrowthParams(1e-300, 1e300), 1.0, 0.0)  # mu/gamma overflows: this was nan
+@example(GrowthParams(1e-300, 1e300), 1.0, 1.0)  # and this inf, where growth integrates 1e300
+def test_growth_closed_form_is_finite_between_its_bounds(p, n0, t):
+    # n(t) = n0 e^(-gamma t) + mu (1 - e^(-gamma t)) / gamma, and the last factor is in [0, t]
+    n = growth_closed_form(p, n0, t)
+    low = n0 * math.exp(-p.gamma * t)
+    high = low + p.mu * t
+    if high < math.inf:
+        assert math.isfinite(n) and low <= n <= high * (1.0 + 1e-14), (n, low, high)
+    if t == 0.0:
+        assert n == n0
+    elif p.gamma * t <= 1e-3 and t >= 1e-290 and max(high, p.gamma * high, p.mu) <= 1e300:
+        # RK4 over ten steps, as growth integrates, is exact to rounding at so
+        # small a gamma t, where its stages stay in the float range
+        traj = integrate(growth_system(p), FleetState(0.0, n0, 0.0), t, t / 10.0)
+        assert n == pytest.approx(traj.final.x, rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
