@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import _NONNEGATIVE_FINITE, _POSITIVE_FINITE, LvmParams, _checked
+from .dynamics import _POSITIVE_FINITE, LvmParams, _checked
 from .errors import DegenerateCaseError, OracleError, ValidationError
 
 __all__ = [
@@ -222,16 +222,17 @@ def finite_difference_sensitivity(
     the closed-form asymptotes, never the closed-form derivatives.
 
     A probe changes one coefficient of p, so it is checked against that
-    coefficient's rule alone and solved on the six floats; only a probe that
-    breaks the rule builds the LvmParams whose refusal the OracleError
-    carries. Each + probe is checked and solved before its - probe.
+    coefficient's rule in LvmParams._rules alone and solved on the six
+    floats; only a probe that breaks the rule builds the LvmParams whose
+    refusal the OracleError carries. Each + probe is checked and solved
+    before its - probe.
     """
     h_rel = _checked(_POSITIVE_FINITE, "h_rel", h_rel)
     base = _coefficients(p)
     grads_h, grads_c = [], []
     # PARAM_NAMES is the field order reversed: the two sources, then the four rates
-    for i, name, (lo, hi, _) in zip(range(5, -1, -1), PARAM_NAMES,
-                                    (_NONNEGATIVE_FINITE,) * 2 + (_POSITIVE_FINITE,) * 4):
+    for i, name in zip(range(5, -1, -1), PARAM_NAMES):
+        lo, hi, _ = LvmParams._rules[name]
         h = h_rel * max(abs(base[i]), 1e-8)
         solved = []
         for v in (base[i] + h, base[i] - h):

@@ -8,7 +8,9 @@ byte-identical files. Numeric output uses fixed 6-decimal formatting.
 
 COMMANDS declares each subcommand's parameters once; flags, config keys,
 defaults and range rules come from it, and `resolve` is the one place that
-checks a number the user set, naming its flag or config line. growth,
+checks a number the user set, naming its flag or config line. A command's
+frame (start, step, end) then meets the grid rule `integrate` applies, under
+the same names, the flag for a default, before the command runs. growth,
 scenario and sensitivity also read a flat `key = value` file (`#` comments)
 given with --config: a flag wins over the file, the file over the default.
 A negative number parses as a flag's value in every float form, `-1e3`
@@ -39,6 +41,7 @@ from .dynamics import (
     GrowthParams,
     LvmParams,
     _checked,
+    _grid,
     growth_closed_form,
     growth_system,
     integrate,
@@ -67,10 +70,13 @@ class Param(NamedTuple):
 
 
 class Command(NamedTuple):
+    """frame names the (t0, dt, t_end) parameters of a command that integrates on a grid."""
+
     run: Callable
     help: str
     params: tuple[Param, ...] = ()
     config: bool = False
+    frame: tuple[str, str, str] | None = None
 
 
 def load_config(path) -> dict[str, tuple[int, str]]:
@@ -214,7 +220,10 @@ def cmd_fit(args) -> int:
     from . import calibration
 
     data = calibration.load_fleet_csv(args.data)
-    fit = calibration.fit_growth(data)
+    try:
+        fit = calibration.fit_growth(data)
+    except ValidationError as exc:  # too few rows: name the file they came from
+        raise ValidationError(f"{args.data}: {exc}") from exc
 
     outdir = _outdir(args)
     path = outdir / "fit.csv"
@@ -303,24 +312,24 @@ def cmd_batch(args) -> int:
 
 # The competition model's parameters, defaulting to the values of the
 # published gradient study, as `sensitivity` takes them.
-_LVM = (
-    Param("gamma_c", "conventional-fleet rate, 1/year", _POSITIVE_FINITE, 0.01),
-    Param("gamma_h", "hydrogen-fleet rate, 1/year", _POSITIVE_FINITE, 0.01),
-    Param("a", "competition coefficient a, 1/(year*Mveh)", _POSITIVE_FINITE, 0.01),
-    Param("epsilon", "competition coefficient epsilon, 1/(year*Mveh)", _POSITIVE_FINITE, 0.01),
-    Param("mu_c", "conventional resource inflow, Mveh/year", _NONNEGATIVE_FINITE, 0.65),
-    Param("mu_h", "hydrogen resource inflow, Mveh/year", _NONNEGATIVE_FINITE, 0.65),
-)
+_LVM = tuple(Param(name, text, LvmParams._rules[name], default) for name, text, default in (
+    ("gamma_c", "conventional-fleet rate, 1/year", 0.01),
+    ("gamma_h", "hydrogen-fleet rate, 1/year", 0.01),
+    ("a", "competition coefficient a, 1/(year*Mveh)", 0.01),
+    ("epsilon", "competition coefficient epsilon, 1/(year*Mveh)", 0.01),
+    ("mu_c", "conventional resource inflow, Mveh/year", 0.65),
+    ("mu_h", "hydrogen resource inflow, Mveh/year", 0.65),
+))
 
 COMMANDS = {
     "growth": Command(cmd_growth, "simulate the first-order growth model", (
-        Param("gamma", "growth rate, 1/year", _POSITIVE_FINITE, REQUIRED),
-        Param("mu", "resource inflow, Mveh/year", _NONNEGATIVE_FINITE, REQUIRED),
+        Param("gamma", "growth rate, 1/year", GrowthParams._rules["gamma"], REQUIRED),
+        Param("mu", "resource inflow, Mveh/year", GrowthParams._rules["mu"], REQUIRED),
         Param("n0", "initial fleet, Mveh", _NONNEGATIVE_FINITE, REQUIRED),
         Param("t0", "start year", _FINITE, REQUIRED),
         Param("t1", "end year", _FINITE, REQUIRED),
         Param("dt", "integration step, years", _POSITIVE_FINITE, 0.1),
-    ), config=True),
+    ), config=True, frame=("t0", "dt", "t1")),
     "scenario": Command(cmd_scenario, "run a named or custom transition scenario", (
         Param("name", "builtin scenario, set alone; without it all six model parameters "
               "are required", type=str, choices=scenarios.BUILTIN_SCENARIO_NAMES),
@@ -331,7 +340,7 @@ COMMANDS = {
         Param("t0", "start year", _FINITE, scenarios.START_YEAR),
         Param("t_end", "end year", _FINITE, scenarios.END_YEAR),
         Param("dt", "integration step, years", _POSITIVE_FINITE, scenarios.DEFAULT_DT),
-    ), config=True),
+    ), config=True, frame=("t0", "dt", "t_end")),
     "fit": Command(cmd_fit, "fit the growth model to a fleet CSV", (
         Param("data", "CSV file with header year,fleet_mveh", default=REQUIRED, type=str),
     )),
@@ -382,6 +391,9 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         resolve(args, command)
+        if command.frame:  # integrate's grid rule, naming each value's flag or config line
+            _grid(*(getattr(args, name) for name in command.frame),
+                  names=[args.given.get(name, f"--{name}") for name in command.frame])
         return command.run(args)
     except (ValidationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

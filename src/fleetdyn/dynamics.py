@@ -74,14 +74,22 @@ def _checked(rule, name, v) -> float:
     return float(v)
 
 
-def _refuse(obj, rule, *names):
-    """Refuse the first of names whose value breaks rule; store the values as floats."""
-    for name in names:
-        object.__setattr__(obj, name, _checked(rule, name, getattr(obj, name)))
+class _Ruled:
+    """Base of the value types whose numeric fields each have one range rule.
+
+    A subclass declares `_rules`, unannotated so that it is no field: a dict
+    from each numeric field, in declaration order, to its rule. Construction
+    refuses the first field whose value breaks its rule and stores the values as floats.
+    """
+
+    def __post_init__(self):
+        values = self.__dict__
+        for name, rule in type(self)._rules.items():
+            values[name] = _checked(rule, name, values[name])
 
 
 @dataclass(frozen=True)
-class GrowthParams:
+class GrowthParams(_Ruled):
     """First-order growth model coefficients: dn/dt = -gamma*n + mu.
 
     gamma : decay-to-equilibrium rate, 1/year (strictly positive)
@@ -91,10 +99,7 @@ class GrowthParams:
 
     gamma: float
     mu: float
-
-    def __post_init__(self):
-        _refuse(self, _POSITIVE_FINITE, "gamma")
-        _refuse(self, _NONNEGATIVE_FINITE, "mu")
+    _rules = {"gamma": _POSITIVE_FINITE, "mu": _NONNEGATIVE_FINITE}
 
     @property
     def equilibrium(self) -> float:
@@ -104,7 +109,7 @@ class GrowthParams:
 
 
 @dataclass(frozen=True)
-class ClassicalLvmParams:
+class ClassicalLvmParams(_Ruled):
     """Classical predator-prey coefficients (all strictly positive).
 
     gamma_c : prey growth rate, 1/year
@@ -117,13 +122,11 @@ class ClassicalLvmParams:
     gamma_h: float
     a: float
     epsilon: float
-
-    def __post_init__(self):
-        _refuse(self, _POSITIVE_FINITE, "gamma_c", "gamma_h", "a", "epsilon")
+    _rules = dict.fromkeys(("gamma_c", "gamma_h", "a", "epsilon"), _POSITIVE_FINITE)
 
 
 @dataclass(frozen=True)
-class LvmParams:
+class LvmParams(_Ruled):
     """Competition model coefficients with supply-chain source terms.
 
     The four rate coefficients follow ClassicalLvmParams; mu_c and mu_h are
@@ -138,14 +141,11 @@ class LvmParams:
     epsilon: float
     mu_c: float
     mu_h: float
-
-    def __post_init__(self):
-        _refuse(self, _POSITIVE_FINITE, "gamma_c", "gamma_h", "a", "epsilon")
-        _refuse(self, _NONNEGATIVE_FINITE, "mu_c", "mu_h")
+    _rules = {**ClassicalLvmParams._rules, "mu_c": _NONNEGATIVE_FINITE, "mu_h": _NONNEGATIVE_FINITE}
 
 
 @dataclass(frozen=True)
-class FleetState:
+class FleetState(_Ruled):
     """Fleet sizes at one instant: t in years, x conventional, y hydrogen (Mveh).
 
     Physically meaningful states have x >= 0 and y >= 0; this is enforced
@@ -159,9 +159,7 @@ class FleetState:
     t: float
     x: float
     y: float
-
-    def __post_init__(self):
-        _refuse(self, _FINITE, "t", "x", "y")
+    _rules = dict.fromkeys(("t", "x", "y"), _FINITE)
 
 
 @dataclass(frozen=True)
@@ -299,26 +297,30 @@ def modified_system(p: LvmParams) -> Field:
     return Field(-p.gamma_c, -p.a, p.mu_c, p.epsilon, -p.gamma_h, p.mu_h)
 
 
-def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
+def _grid(t0: float, dt: float, t_end: float,
+          names=("the initial time", "dt", "t_end")) -> tuple[int, float]:
     """The uniform grid from t0 to t_end: n_full steps of dt, then one
     shortened step of `remainder` when remainder > 0; a dt longer than the
     span is one shortened step of the span.
 
     Raises ValidationError for a t0, t_end or dt that is nan, infinite or an
     int beyond the float range, a t_end not past t0, more than _MAX_STEPS
-    steps, or a dt too small to tell grid times apart.
+    steps, or a dt too small to tell grid times apart. The last three
+    refusals call t0, dt and t_end by `names`, to which the command line
+    passes the flags or config lines the values came from.
     """
     _checked(_POSITIVE_FINITE, "dt", dt)
     _checked(_FINITE, "t_end", t_end)
     _checked(_FINITE, "t0", t0)
+    t0_name, dt_name, t_end_name = names
     if not t_end > t0:
-        raise ValidationError(f"t_end ({t_end}) must exceed the initial time ({t0})")
+        raise ValidationError(f"{t_end_name} ({t_end}) must exceed {t0_name} ({t0})")
 
     span = t_end - t0
     steps = span / dt
     if steps > _MAX_STEPS:
         raise ValidationError(
-            f"dt = {dt} needs {steps:.4g} steps from {t0} to {t_end}; "
+            f"{dt_name} = {dt} needs {steps:.4g} steps from {t0} to {t_end}; "
             f"at most {_MAX_STEPS} are allowed"
         )
     # Below two float spacings of the times, t0 + i*dt can round two grid
@@ -328,7 +330,7 @@ def _grid(t0: float, dt: float, t_end: float) -> tuple[int, float]:
     resolution = 2 * math.ulp(max(abs(t0), abs(t_end)))
     if dt < resolution:
         raise ValidationError(
-            f"dt = {dt} is below the time resolution {resolution} from {t0} to {t_end}"
+            f"{dt_name} = {dt} is below the time resolution {resolution} from {t0} to {t_end}"
         )
     n_full = int(math.floor(steps + _STEP_RTOL))
     remainder = span - n_full * dt
@@ -350,6 +352,13 @@ def integrate(field: Field, s0: FleetState, t_end: float, dt: float) -> Trajecto
     Raises ValidationError for a t_end or dt that is nan, infinite or an
     int beyond the float range, or for more than _MAX_STEPS steps, and
     IntegrationError if the state stops being finite.
+
+    A step sums its stage rates, k1 + 2 k2 + 2 k3 + k4, before scaling by
+    dt/6, so a rate above about 3e307 in size overflows that sum and raises
+    IntegrationError where the exact solution is finite:
+    integrate(growth_system(GrowthParams(1e8, 0.0)), FleetState(0.0, 1e300,
+    0.0), 1e-11, 1e-12) fails near t=1e-12, while growth_closed_form gives
+    9.990004998333751e+299.
     """
     n_full, remainder = _grid(s0.t, dt, t_end)
     # As floats: numpy scalars would step 3x slower and warn on overflow.

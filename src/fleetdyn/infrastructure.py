@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import write_text
-from .dynamics import _FRACTION, _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _checked, _refuse, _shown
+from .dynamics import _FRACTION, _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _Ruled, _checked, _shown
 from .errors import ValidationError
 
 __all__ = [
@@ -57,15 +57,13 @@ REFUELLINGS_PER_YEAR = 52  # one tank a week
 PETROL_STATION_THROUGHPUT_KG_PER_YEAR = 5e6
 
 @dataclass(frozen=True)
-class StationSpec:
+class StationSpec(_Ruled):
     """Refuelling-station production capacity and build cost."""
 
     kind: str  # label: "small" or "large"
     capacity_per_day: float  # kg/day
     capex: float  # GBP per station
-
-    def __post_init__(self):
-        _refuse(self, _POSITIVE_FINITE, "capacity_per_day", "capex")
+    _rules = dict.fromkeys(("capacity_per_day", "capex"), _POSITIVE_FINITE)
 
     @property
     def capacity_per_year(self) -> float:
@@ -74,14 +72,12 @@ class StationSpec:
 
 
 @dataclass(frozen=True)
-class VehicleSpec:
+class VehicleSpec(_Ruled):
     """Hydrogen vehicle storage: tank size and annual consumption (weekly fills)."""
 
     kind: str  # label: "hfc" or "hfcre"
     tank: float  # kg
-
-    def __post_init__(self):
-        _refuse(self, _POSITIVE_FINITE, "tank")
+    _rules = {"tank": _POSITIVE_FINITE}
 
     @property
     def annual_consumption(self) -> float:

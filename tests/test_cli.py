@@ -99,9 +99,8 @@ def test_growth_step_count_over_cap_exits_2(tmp_path, capsys):
         "--t0", "2020", "--t1", "2100", "--dt", "1e-9", "--out", str(tmp_path / "o"),
     )
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: dt = 1e-09 needs 8e+10 steps")
-    assert "at most 1000000" in err
+    assert capsys.readouterr().err == ("error: --dt = 1e-09 needs 8e+10 steps from 2020.0 to "
+                                       "2100.0; at most 1000000 are allowed\n")
 
 
 @pytest.mark.parametrize("argv, span", [
@@ -137,9 +136,7 @@ def test_scenario_horizon_before_start_exits_2(tmp_path, capsys):
         "--out", str(tmp_path / "o"),
     )
     assert code == 2
-    assert capsys.readouterr().err == (
-        "error: t_end (2010.0) must exceed the initial time (2020.0)\n"
-    )
+    assert capsys.readouterr().err == "error: --t_end (2010.0) must exceed --t0 (2020.0)\n"
 
 
 def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
@@ -153,6 +150,43 @@ def test_growth_non_finite_start_names_the_flag(tmp_path, capsys):
 
 _CUSTOM = ["--gamma_c", "0.01", "--gamma_h", "0.01", "--a", "0.005", "--epsilon", "0.005",
            "--mu_c", "0.65", "--mu_h", "0.35"]
+_GROWTH = ["growth", "--gamma", "0.01", "--mu", "0.65", "--n0", "0.38"]
+_BELOW_RESOLUTION = "1e-14 is below the time resolution 4.547473508864641e-13 from 2020.0 to "
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    # a span that does not run forward
+    ([*_GROWTH, "--t0", "2000", "--t1", "1990"], None,
+     "--t1 (1990.0) must exceed --t0 (2000.0)"),
+    ([*_GROWTH, "--t0", "2000"], "t1 = 1990",
+     "{cfg}: line 1: t1 (1990.0) must exceed --t0 (2000.0)"),
+    (["scenario", *_CUSTOM, "--t0", "2100"], None,
+     "--t_end (2100.0) must exceed --t0 (2100.0)"),
+    (["scenario", *_CUSTOM], "t0 = 2100",
+     "--t_end (2100.0) must exceed {cfg}: line 1: t0 (2100.0)"),
+    # more steps than the cap
+    ([*_GROWTH, "--t0", "2020", "--t1", "2100", "--dt", "1e-9"], None,
+     "--dt = 1e-09 needs 8e+10 steps from 2020.0 to 2100.0; at most 1000000 are allowed"),
+    (["scenario", *_CUSTOM], "dt = 1e-12",
+     "{cfg}: line 1: dt = 1e-12 needs 8e+13 steps from 2020.0 to 2100.0; "
+     "at most 1000000 are allowed"),
+    # a step too small to tell grid times apart
+    ([*_GROWTH, "--t0", "2020", "--t1", "2020.000000001", "--dt", "1e-14"], None,
+     "--dt = " + _BELOW_RESOLUTION + "2020.000000001"),
+    (["scenario", *_CUSTOM, "--t_end", "2020.000000001"], "dt = 1e-14",
+     "{cfg}: line 1: dt = " + _BELOW_RESOLUTION + "2020.000000001"),
+], ids=["span-flag", "span-config", "span-default", "span-config-t0", "cap-flag", "cap-config",
+        "resolution-flag", "resolution-config"])
+def test_grid_refusals_name_the_flag_or_config_line(tmp_path, capsys, argv, line, message):
+    # the grid rule runs once every value has passed its own rule, before the command
+    cfg = tmp_path / "c.cfg"
+    if line is not None:
+        cfg.write_text(line + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -579,6 +613,14 @@ def test_fit_csv_errors_match_the_fit_for_large_years(tmp_path, capsys):
     _, rows = read_rows(out / "fit.csv")
     assert len({r[2] for r in rows}) == 4
     assert sum(float(r[3]) for r in rows) / len(rows) == pytest.approx(fit.mean_error, abs=1e-6)
+
+
+def test_fit_with_fewer_than_three_rows_names_the_file(tmp_path, capsys):
+    csv = tmp_path / "short.csv"
+    csv.write_text("year,fleet_mveh\n1971,8.0\n1976,9.0\n")
+    assert run_cli("fit", "--data", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {csv}: fit needs at least 3 data points\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_missing_file_exits_2(tmp_path):

@@ -506,6 +506,15 @@ def test_integrate_checks_every_stage_state():
         integrate(Field(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0), FleetState(0.0, 2e307, 0.0), 4.0, 4.0)
 
 
+def test_integrate_fails_where_the_stage_sum_leaves_the_float_range():
+    # Each stage rate is about -1e308; k1 + 2 k2 + 2 k3 + k4 overflows before
+    # dt/6 scales it, though the exact solution and each increment are finite.
+    p = GrowthParams(1e8, 0.0)
+    assert growth_closed_form(p, 1e300, 1e-11) == 9.990004998333751e+299
+    with pytest.raises(IntegrationError, match=r"^state became non-finite near t=1e-12$"):
+        integrate(growth_system(p), FleetState(0.0, 1e300, 0.0), 1e-11, 1e-12)
+
+
 def _reference_integrate(rhs, s0, t_end, dt):
     """The integrator as a loop over calls of rhs that checks each stage state."""
 
@@ -630,6 +639,20 @@ def test_integrate_refuses_a_step_at_the_time_resolution():
         integrate(ZERO, FleetState(2020.0, 1.0, 0.0), 2020.000000001, 1e-14)
     with pytest.raises(ValidationError, match=r"time resolution"):
         Trajectory(2020.0, 1e-14, 2020.00000000001, np.zeros(1001), np.zeros(1001))
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (2010.0, 0.1, "t_end (2010.0) must exceed the initial time (2020.0)"),
+    (2100.0, 1e-9, "dt = 1e-09 needs 8e+10 steps from 2020.0 to 2100.0; "
+                   "at most 1000000 are allowed"),
+    (2020.000000001, 1e-14, "dt = 1e-14 is below the time resolution 4.547473508864641e-13 "
+                            "from 2020.0 to 2020.000000001"),
+], ids=["span", "cap", "resolution"])
+def test_grid_refusals_name_the_python_arguments(t_end, dt, message):
+    # the command line names flags and config lines in these texts instead
+    with pytest.raises(ValidationError) as exc:
+        integrate(ZERO, FleetState(2020.0, 1.0, 0.0), t_end, dt)
+    assert str(exc.value) == message
 
 
 def test_integrate_step_cap_is_inclusive(monkeypatch):

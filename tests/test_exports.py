@@ -5,7 +5,9 @@ does), no error class outlives the code that raises it, and no module
 imports a name it does not use."""
 
 import ast
+import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,53 @@ def test_no_two_range_rules_share_an_interval():
         by_interval.setdefault((lo, hi), []).append(where)
     assert len(rules) >= 4
     assert [names for names in by_interval.values() if len(names) > 1] == []
+
+
+RULED_TYPES = {"dynamics": ("GrowthParams", "ClassicalLvmParams", "LvmParams", "FleetState"),
+               "infrastructure": ("StationSpec", "VehicleSpec")}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in RULED_TYPES.items()
+                                          for n in names], ids=lambda v: v)
+def test_value_type_declares_one_rule_per_numeric_field(module, name):
+    # _Ruled's one __post_init__ applies the type's _rules; a __post_init__
+    # of its own would be a second check with its own order and wording.
+    from fleetdyn.dynamics import _Ruled
+
+    cls = getattr(importlib.import_module(f"fleetdyn.{module}"), name)
+    assert "__post_init__" not in vars(cls)
+    assert cls.__post_init__ is _Ruled.__post_init__
+    numeric = [f.name for f in dataclasses.fields(cls) if f.type in ("float", "int")]
+    assert list(cls._rules) == numeric
+
+
+def test_every_ruled_type_is_listed_and_refuse_is_gone():
+    from fleetdyn.dynamics import _Ruled
+
+    assert {cls.__name__ for cls in _Ruled.__subclasses__()} == {
+        name for names in RULED_TYPES.values() for name in names}
+    assert [path.name for path in PACKAGE.glob("*.py")
+            if re.search(r"\b_refuse\b", path.read_text(encoding="utf-8"))] == []
+
+
+def test_model_domains_are_stated_only_in_dynamics():
+    # A CLI flag named like a model field carries that field's rule object,
+    # and the FD verifier reads LvmParams' rules instead of restating them.
+    from fleetdyn.cli import COMMANDS
+    from fleetdyn.dynamics import GrowthParams, LvmParams
+
+    checked = 0
+    for command in COMMANDS.values():
+        for p in command.params:
+            for cls in (LvmParams, GrowthParams):
+                if p.name in cls._rules:
+                    assert p.rule is cls._rules[p.name], p.name
+                    checked += 1
+    assert checked == 6 + 6 + 2  # sensitivity, scenario, growth
+    tree = ast.parse((PACKAGE / "analytics.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_NONNEGATIVE_FINITE" not in imported
 
 
 def test_only_resolve_checks_a_cli_number():
