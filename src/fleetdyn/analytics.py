@@ -223,16 +223,16 @@ def finite_difference_sensitivity(
 
     A probe changes one coefficient of p, so it is checked against that
     coefficient's rule in LvmParams._rules alone and solved on the six
-    floats; only a probe that breaks the rule builds the LvmParams whose
-    refusal the OracleError carries. Each + probe is checked and solved
-    before its - probe.
+    floats; a probe that breaks the rule is refused by that rule's _checked,
+    in the words LvmParams would use, and the OracleError carries it. Each +
+    probe is checked and solved before its - probe.
     """
     h_rel = _checked(_POSITIVE_FINITE, "h_rel", h_rel)
     base = _coefficients(p)
     grads_h, grads_c = [], []
     # PARAM_NAMES is the field order reversed: the two sources, then the four rates
     for i, name in zip(range(5, -1, -1), PARAM_NAMES):
-        lo, hi, _ = LvmParams._rules[name]
+        lo, hi, _ = rule = LvmParams._rules[name]
         h = h_rel * max(abs(base[i]), 1e-8)
         solved = []
         for v in (base[i] + h, base[i] - h):
@@ -240,7 +240,7 @@ def finite_difference_sensitivity(
             probe[i] = v
             if not lo <= v <= hi:
                 try:
-                    LvmParams(*probe)
+                    _checked(rule, name, v)
                 except ValidationError as exc:
                     raise OracleError(
                         f"perturbing {name} by {h} leaves the parameter domain: {exc}") from exc

@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from ._files import read_text
-from .dynamics import _FMAX, GrowthParams
+from .dynamics import _POSITIVE_FINITE, GrowthParams
 from .errors import FitError, ParseError, ValidationError
 
 __all__ = [
@@ -324,13 +324,14 @@ def load_fleet_csv(path) -> FleetSeries:
 
     Each row is checked against the FleetSeries rules as it is read, and the
     first row that breaks one is reported with its file and line. A row
-    passes on one chained test, lo < year <= hi and 0 < value <= max float,
-    lo the previous year and hi the int64 maximum or 2**53 years after the
-    first; _row_defect runs only on a failing row, to name the rule it breaks.
+    passes on one chained test, lo < year <= hi and the value within the
+    _POSITIVE_FINITE bounds, lo the previous year and hi the int64 maximum or
+    2**53 years after the first; _row_defect names the rule a failing row breaks.
     """
     years = []
     fleet = []
     lo, hi = _YEAR_MIN - 1, _YEAR_MAX
+    least, most, _ = _POSITIVE_FINITE
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
@@ -349,7 +350,7 @@ def load_fleet_csv(path) -> FleetSeries:
             value = float(row[1])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if not (lo < year <= hi and 0 < value <= _FMAX):
+        if not (lo < year <= hi and least <= value <= most):
             defect = _row_defect(year, value, *(years[-1], years[0]) if years else (None, year))
             raise ValidationError(f"{path}: line {lineno}: {defect}")
         if not years:

@@ -7,15 +7,15 @@ failure. Every command is deterministic: the same invocation produces
 byte-identical files. Numeric output uses fixed 6-decimal formatting.
 
 COMMANDS declares each subcommand's parameters once; flags, config keys,
-defaults and range rules come from it, and `resolve` is the one place that
-checks a number the user set, naming its flag or config line. A command's
-frame (start, step, end) then meets the grid rule `integrate` applies, under
-the same names, the flag for a default, before the command runs. growth,
-scenario and sensitivity also read a flat `key = value` file (`#` comments)
-given with --config: a flag wins over the file, the file over the default.
-A negative number parses as a flag's value in every float form, `-1e3`
-and `-inf` included. The output directory defaults to ./out, overridable
-with FLEETDYN_OUT or the --out flag.
+defaults, types, choices and range rules come from it. argparse only splits
+argv, and `resolve` alone converts and checks a value the user set, by flag
+or config line alike, naming either. A command's frame (start, step, end)
+then meets the grid rule `integrate` applies, under the same names, the flag
+for a default, before the command runs. growth, scenario and sensitivity
+also read a flat `key = value` file (`#` comments) given with --config: a
+flag wins over the file, the file over the default. A negative number
+parses as a flag's value in every float form, `-1e3` and `-inf` included.
+The output directory is the --out flag, else FLEETDYN_OUT, else ./out.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ _NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)
 class Param(NamedTuple):
     """Flag `--name` and config key `name`; default is a value, REQUIRED or None (unset).
 
-    rule is a numeric parameter's `(lo, hi, text)` range rule from dynamics,
-    applied by `resolve` to a value the user set; defaults are not checked.
+    `resolve` converts a value the user set by type, then checks it against
+    choices and rule, a `(lo, hi, text)` rule from dynamics; not defaults.
     """
 
     name: str
@@ -102,8 +102,8 @@ def load_config(path) -> dict[str, tuple[int, str]]:
 def resolve(args, command: Command) -> None:
     """Set each parameter from its flag, else the config file, else its default.
 
-    `args.given` maps each parameter the user set to its flag or config line,
-    and a set value that breaks the parameter's rule is refused under that name.
+    `args.given` maps each parameter the user set to its flag or config line;
+    its text is converted and checked under that name, alike for either.
     """
     cfg = load_config(args.config) if getattr(args, "config", None) else {}
     names = [p.name for p in command.params]
@@ -112,24 +112,24 @@ def resolve(args, command: Command) -> None:
             raise ParseError(f"{args.config}: line {lineno}: unknown key {key!r}")
     args.given = {}
     for p in command.params:
-        value = getattr(args, p.name)
-        if value is not None:
-            args.given[p.name] = f"--{p.name}"
-        elif p.name in cfg:
+        where, text = f"--{p.name}", getattr(args, p.name)
+        if text is None and p.name in cfg:
             lineno, text = cfg[p.name]
-            where = args.given[p.name] = f"{args.config}: line {lineno}: {p.name}"
-            try:
-                value = p.type(text)
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            if p.choices and value not in p.choices:
-                raise ParseError(f"{where}: {text!r} is not one of {', '.join(p.choices)}")
-        elif p.default is REQUIRED:
-            raise ValidationError(f"--{p.name} is required")
-        else:
-            value = p.default
-        if p.rule and p.name in args.given:
-            _checked(p.rule, args.given[p.name], value)
+            where = f"{args.config}: line {lineno}: {p.name}"
+        if text is None:
+            if p.default is REQUIRED:
+                raise ValidationError(f"{where} is required")
+            setattr(args, p.name, p.default)
+            continue
+        args.given[p.name] = where
+        try:
+            value = p.type(text)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        if p.choices and value not in p.choices:
+            raise ParseError(f"{where}: {text!r} is not one of {', '.join(p.choices)}")
+        if p.rule:
+            _checked(p.rule, where, value)
         setattr(args, p.name, value)
 
 
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp._negative_number_matcher = _NEGATIVE_NUMBER
         for p in command.params:
             note = "required" if p.default is REQUIRED else f"default {p.default}"
-            sp.add_argument(f"--{p.name}", type=p.type, choices=p.choices,
+            sp.add_argument(f"--{p.name}", metavar=p.choices and "{%s}" % ",".join(p.choices),
                             help=p.help if p.default is None else f"{p.help} ({note})")
         # --targets, --out and --config pick outputs and inputs; they are not parameters.
         if name == "scenario":

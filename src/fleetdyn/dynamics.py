@@ -189,12 +189,9 @@ class Trajectory:
         if not len(x) == len(y) == n:
             raise ValidationError(f"{want}; got {len(x)} and {len(y)}")
         for name, samples in (("x", x), ("y", y)):
-            # Any non-finite sample makes the sum non-finite, so only such a
-            # sum, which finite samples also reach by overflow, is scanned.
-            if not isfinite(sum(samples)):
-                for i, v in enumerate(samples):
-                    if not isfinite(v):
-                        raise ValidationError(f"Trajectory.{name}[{i}] must be finite, got {v}")
+            for i, v in enumerate(samples):
+                if not isfinite(v):
+                    raise ValidationError(f"Trajectory.{name}[{i}] must be finite, got {v}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -502,7 +502,7 @@ def test_fd_verifier_is_the_equilibrium_built_reference(p, h_rel):
     assert bits((eq.x_inf, eq.y_inf, eq.delta)) == bits((x_inf, y_inf, sq * sq))
 
 
-def test_fd_verifier_builds_parameters_only_to_refuse_a_probe(monkeypatch):
+def test_fd_verifier_builds_no_parameters_and_refuses_a_probe_by_its_rule(monkeypatch):
     calls = []
     post_init = LvmParams.__post_init__
 
@@ -510,22 +510,20 @@ def test_fd_verifier_builds_parameters_only_to_refuse_a_probe(monkeypatch):
         calls.append(self)
         post_init(self)
 
+    p = LvmParams(gamma_c=0.1, gamma_h=0.1, a=0.05, epsilon=0.0100001, mu_c=1.0, mu_h=0.0)
     monkeypatch.setattr(LvmParams, "__post_init__", counting)
     finite_difference_sensitivity(MODERATE)
-    assert calls == []
-    # mu_h = 0: the probe mu_h - h is the one refused, by the LvmParams it builds
-    p = LvmParams(gamma_c=0.1, gamma_h=0.1, a=0.05, epsilon=0.0100001, mu_c=1.0, mu_h=0.0)
-    calls.clear()
-    with pytest.raises(OracleError, match="perturbing mu_h by 1e-10"):
+    # mu_h = 0: the probe mu_h - h is the one refused, by mu_h's rule, in LvmParams' words
+    with pytest.raises(OracleError) as refused:
         finite_difference_sensitivity(p, 1e-2)
-    assert len(calls) == 1
+    assert str(refused.value) == ("perturbing mu_h by 1e-10 leaves the parameter domain: "
+                                  "mu_h must be non-negative and finite, got -1e-10")
     # h_rel = 1 takes each - probe to exactly 0: in the domain for the
     # sources mu_h and mu_c, solved there, and refused for the first rate
-    calls.clear()
     outcome = _fd_outcome(finite_difference_sensitivity, MODERATE, 1.0)
     assert outcome == (OracleError, "perturbing epsilon by 0.005 leaves the parameter domain: "
                                     "epsilon must be positive and finite, got 0.0")
-    assert len(calls) == 1
+    assert calls == []
     assert outcome == _fd_outcome(_reference_fd, MODERATE, 1.0)
 
 

@@ -18,6 +18,7 @@ from fleetdyn import (
     DegenerateCaseError,
     GrowthParams,
     LvmParams,
+    ParseError,
     ValidationError,
     asymptotic_state,
     classify_stability,
@@ -74,13 +75,25 @@ def test_growth_csv_round_trips_through_loader(tmp_path):
     assert series.fleet[-1] == pytest.approx(29.535792, abs=1e-6)
 
 
-def test_growth_invalid_usage_exits_2(tmp_path):
+def test_growth_invalid_usage_exits_2(tmp_path, capsys):
     out = str(tmp_path / "o")
     base = ["growth", "--mu", "0.65", "--n0", "0.38", "--out", out]
     assert run_cli(*base, "--gamma", "0.01", "--t0", "2020", "--t1", "2000") == 2
     assert run_cli(*base, "--gamma", "0", "--t0", "1960", "--t1", "2020") == 2
     assert run_cli(*base, "--gamma", "0.01", "--t0", "1960") == 2  # missing t1
-    assert run_cli("growth", "--gamma", "x") == 2  # argparse rejects
+    capsys.readouterr()
+    assert run_cli("growth", "--gamma", "x") == 2  # one line, no usage text
+    assert capsys.readouterr().err == "error: --gamma: could not convert string to float: 'x'\n"
+
+
+def test_a_repeated_flag_takes_its_last_text(tmp_path, capsys):
+    # argparse keeps the last text of a repeated flag, and only that one is converted
+    base = ["growth", "--mu", "0.65", "--n0", "0.38", "--t0", "1960", "--t1", "2020",
+            "--out", str(tmp_path / "o")]
+    assert run_cli(*base, "--gamma", "x", "--gamma", "0.01") == 0
+    assert "fleet at 2020.0: 29.53" in capsys.readouterr().out
+    assert run_cli(*base, "--gamma", "0.01", "--gamma", "x") == 2
+    assert capsys.readouterr().err == "error: --gamma: could not convert string to float: 'x'\n"
 
 
 def test_growth_non_finite_horizon_or_step_exits_2(tmp_path, capsys):
@@ -281,8 +294,10 @@ def test_scenario_targets_report(tmp_path):
     assert rows[0][5] in ("pass", "fail")
 
 
-def test_scenario_unknown_name_exits_2(tmp_path):
+def test_scenario_unknown_name_exits_2(tmp_path, capsys):
     assert run_cli("scenario", "--name", "fast", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: --name: 'fast' is not one of low, moderate, aggressive\n")
 
 
 def test_scenario_name_excludes_custom_params(tmp_path):
@@ -509,11 +524,88 @@ def test_a_value_outside_its_range_rule_names_its_flag_or_config_line(
     assert not out.exists()
 
 
+def _bad_texts(param):
+    """Texts param refuses before its range rule: no number or no choice, an
+    empty value, and a near miss (a float for an int, a choice's upper case)."""
+    near = param.choices[0].upper() if param.choices else "1.5" if param.type is int else "0x1"
+    return ["x", "", near]
+
+
+def _resolve_message(argv, cfg=None):
+    """The ParseError text resolve gives for argv, with --config cfg if given."""
+    args = build_parser().parse_args(argv)
+    if cfg is not None:  # resolve reads a config line alike for every command
+        args.config = str(cfg)
+    with pytest.raises(ParseError) as refused:
+        resolve(args, COMMANDS[argv[0]])
+    return str(refused.value)
+
+
+def _valid_flags(cmd, but):
+    """Flags giving cmd's _VALID values, all but the one named."""
+    return [a for key, value in _VALID[cmd].items() if key != but for a in (f"--{key}", value)]
+
+
+_TYPED = [(cmd, p) for cmd, c in COMMANDS.items() for p in c.params
+          if p.type is not str or p.choices]
+
+
+@pytest.mark.parametrize("cmd, param, text", [
+    (cmd, p, text) for cmd, p in _TYPED for text in _bad_texts(p)
+], ids=lambda v: v.name if hasattr(v, "rule") else v or "empty")
+def test_a_bad_text_is_worded_alike_as_a_flag_and_as_a_config_line(tmp_path, capsys, cmd,
+                                                                  param, text):
+    others = _valid_flags(cmd, but=param.name)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# one key\n{param.name} = {text}\n")
+    try:  # the conversion's own words, else the choice refusal
+        param.type(text)
+    except ValueError as exc:
+        rest = str(exc)
+    else:
+        rest = f"{text!r} is not one of {', '.join(param.choices)}"
+    assert _resolve_message([cmd, *others, f"--{param.name}", text]) == f"--{param.name}: {rest}"
+    assert _resolve_message([cmd, *others], cfg) == f"{cfg}: line 2: {param.name}: {rest}"
+    # and through main: exit 2, the one message, nothing written
+    out = tmp_path / "o"
+    argv = [cmd, *others, f"--{param.name}", text, "--out", str(out)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: --{param.name}: {rest}\n"
+    if COMMANDS[cmd].config:
+        assert run_cli(cmd, *others, "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: {param.name}: {rest}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, param", _TYPED, ids=lambda v: v if isinstance(v, str) else v.name)
+def test_a_good_text_resolves_alike_as_a_flag_and_as_a_config_line(tmp_path, cmd, param):
+    text = param.choices[-1] if param.choices else "1"  # 1 passes every range rule
+    others = _valid_flags(cmd, but=param.name)
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(f"{param.name} = {text}\n")
+    by_flag = build_parser().parse_args([cmd, *others, f"--{param.name}", text])
+    by_line = build_parser().parse_args([cmd, *others])
+    by_line.config = str(cfg)
+    for args in (by_flag, by_line):
+        resolve(args, COMMANDS[cmd])
+    value = getattr(by_flag, param.name)
+    assert (type(value), repr(value)) == (param.type, repr(param.type(text)))
+    assert (type(getattr(by_line, param.name)), repr(getattr(by_line, param.name))) == (
+        type(value), repr(value))
+
+
 @pytest.mark.parametrize("value", ["-1e3", "-1.5E-3", "-.5e2", "-1e+3", "-2.", "-1", "-1.5",
                                    "-inf", "-Infinity", "-nan"])
 def test_a_negative_number_in_any_float_form_is_a_flag_value(value):
-    args = build_parser().parse_args(["growth", "--t0", value])
-    assert repr(args.t0) == repr(float(value))
+    args = build_parser().parse_args([*_GROWTH, "--t1", "2020", "--t0", value])
+    assert args.t0 == value  # argparse keeps the text; resolve converts it
+    if math.isfinite(float(value)):
+        resolve(args, COMMANDS["growth"])
+        assert repr(args.t0) == repr(float(value))
+    else:  # t0's rule refuses it, showing the float the text converted to
+        with pytest.raises(ValidationError) as refused:
+            resolve(args, COMMANDS["growth"])
+        assert str(refused.value) == f"--t0 must be finite, got {float(value)!r}"
 
 
 @pytest.mark.parametrize("value", ["-e3", "-1e", "-.", "-1.5.2", "-x1", "-in", "-nanx"])

@@ -261,7 +261,7 @@ def test_trajectory_refuses_non_finite_samples():
         Trajectory(0.0, 1.0, 2.0, [math.inf, math.inf, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValidationError, match=r"^Trajectory\.y\[2\] must be finite, got nan$"):
         Trajectory(0.0, 1.0, 2.0, np.zeros(3), np.array([1.0, -1.0, math.nan]))
-    # finite samples whose sum overflows are scanned and kept
+    # finite samples whose sum overflows are kept
     assert Trajectory(0.0, 1.0, 2.0, [1e308, 1e308, -1e308], np.zeros(3)).x == (
         1e308, 1e308, -1e308)
 

@@ -192,8 +192,8 @@ def is_largest_float(node):
 def test_only_dynamics_compares_with_the_largest_float():
     # The range rules and their one check, _checked, live in dynamics. A
     # comparison with the largest float elsewhere is a second copy of the
-    # rule, allowed only in the per-row check whose speed the study
-    # benchmark measures; the per-probe check reads its bounds from the rules.
+    # rule; the per-row and per-probe checks, whose speed the study benchmark
+    # measures, read their bounds from the rules.
     sites = {
         (path.stem, func)
         for path in PACKAGE.glob("*.py") if path.stem != "dynamics"
@@ -201,7 +201,7 @@ def test_only_dynamics_compares_with_the_largest_float():
                                            ast.Compare)
         if any(map(is_largest_float, ast.walk(cmp)))
     }
-    assert sites - {("calibration", "load_fleet_csv")} == set()
+    assert sites == set()
 
 
 def test_no_two_range_rules_share_an_interval():
@@ -275,6 +275,20 @@ def test_only_resolve_checks_a_cli_number():
     callers = {func for func, call in nodes_by_function(tree, ast.Call)
                if getattr(call.func, "id", None) == "_checked"}
     assert callers == {"resolve"}
+
+
+def test_only_resolve_converts_a_cli_value():
+    # argparse only splits argv into texts: build_parser hands it no type and
+    # no choices, so a flag's text and a config line's meet one conversion
+    # and one choice test, both in resolve, and are refused in the same words.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    keywords = {kw.arg for func, call in nodes_by_function(tree, ast.Call)
+                if func == "build_parser" for kw in call.keywords}
+    assert "help" in keywords
+    assert keywords & {"type", "choices"} == set()
+    converters = {func for func, call in nodes_by_function(tree, ast.Call)
+                  if getattr(call.func, "attr", None) == "type"}
+    assert converters == {"resolve"}
 
 
 def test_series_entry_points_do_not_use_numpy():

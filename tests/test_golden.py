@@ -121,3 +121,28 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_digests(name, tmp_path):
     assert output_digests(COMMANDS[name], tmp_path) == GOLDEN[name]
+
+
+# sha256 of `fleetdyn [<command>] --help` at an 80-column width. argparse only
+# splits argv, so each choice list is a metavar; these pin that the help
+# reads as when argparse checked the choices itself. They are CPython 3.11's
+# argparse layout, which may change with the Python version.
+HELP = {
+    None: "e88e3d50ea93a51b35d9d5d1754b39cb3d74d6cab0913f1fd543a99d33ba343e",
+    "batch": "8972528268ce8809391bd53779144592436934a744e53d14208f501b49f0f3ac",
+    "fit": "9ade835e5ca07447675a37c852f0a438b37be6fe4462a7c7d7519d2fd744dd5e",
+    "growth": "da9b78ef9132c17c4d4804f57fdbeb440570f103e57d263ec92cd515b7e48182",
+    "infra": "4e611422cd93cfe5895088d71902ed5b71dd6afd8b6e4dcf7cd401a7a69abad2",
+    "scenario": "03ee9def58a2ddcc26a6e03170997bca2fa42fe77007b32e3efc4c77450f7b4c",
+    "sensitivity": "4eaf204643617e67b0a11e6c403be7cf8509ddabe9bc9431b3bcdf9f00a77a33",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: c or "fleetdyn")
+def test_help_matches_golden_digest(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, "--help"] if command else ["--help"])
+    assert code == 0
+    assert _sha(stdout.getvalue().encode()) == HELP[command]
