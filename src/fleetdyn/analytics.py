@@ -119,8 +119,12 @@ def asymptotic_state(p: LvmParams) -> Equilibrium:
     that an asymptote is not a finite float, or where an overflowed
     denominator would round to 0 an asymptote that a positive source keeps positive.
     """
-    x_inf, y_inf, sq = _solve(*_coefficients(p))
-    return Equilibrium(x_inf=x_inf, y_inf=y_inf, delta=sq * sq)
+    return _equilibrium(_solve(*_coefficients(p)))
+
+
+def _equilibrium(lin) -> Equilibrium:
+    """The Equilibrium of a _solve or _linearise result, which starts x*, y*, sqrt(delta)."""
+    return Equilibrium(x_inf=lin[0], y_inf=lin[1], delta=lin[2] * lin[2])
 
 
 def _solve(gamma_c, gamma_h, a, epsilon, mu_c, mu_h) -> tuple[float, float, float]:

@@ -41,6 +41,7 @@ from .dynamics import (
     GrowthParams,
     LvmParams,
     _checked,
+    _chosen,
     _grid,
     growth_closed_form,
     growth_system,
@@ -126,8 +127,8 @@ def resolve(args, command: Command) -> None:
             value = p.type(text)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        if p.choices and value not in p.choices:
-            raise ParseError(f"{where}: {text!r} is not one of {', '.join(p.choices)}")
+        if p.choices:
+            _chosen(where, value, p.choices)
         if p.rule:
             _checked(p.rule, where, value)
         setattr(args, p.name, value)
@@ -249,7 +250,7 @@ def cmd_sensitivity(args) -> int:
     params = LvmParams(**{p.name: getattr(args, p.name) for p in _LVM})
 
     lin = analytics._linearise(params)
-    equilibrium = analytics.Equilibrium(lin[0], lin[1], lin[2] * lin[2])
+    equilibrium = analytics._equilibrium(lin)
     grad_h = analytics._gradient(lin, hydrogen=True)
     grad_c = analytics._gradient(lin, hydrogen=False)
 
@@ -347,7 +348,8 @@ COMMANDS = {
     "sensitivity": Command(cmd_sensitivity, "equilibrium and parameter gradients", _LVM,
                            config=True),
     "infra": Command(cmd_infra, "refuelling-station deployment plan", (
-        Param("id", "deployment scenario S1..S4", default=REQUIRED, type=str),
+        Param("id", "deployment scenario S1..S4", default=REQUIRED, type=str,
+              choices=("S1", "S2", "S3", "S4")),
         Param("uptake", "fixed yearly hydrogen uptake the plan is sized for, Mveh/year; "
               "the moderate builtin's mu_h", _POSITIVE_FINITE, 0.35),
         Param("horizon", "build horizon in years", _POSITIVE_FINITE, 30, int),

@@ -74,6 +74,13 @@ def _checked(rule, name, v) -> float:
     return float(v)
 
 
+def _chosen(name, value, choices):
+    """value if it is one of choices; otherwise the ValidationError naming it."""
+    if value not in choices:
+        raise ValidationError(f"{name}: {value!r} is not one of {', '.join(choices)}")
+    return value
+
+
 class _Ruled:
     """Base of the value types whose numeric fields each have one range rule.
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._files import write_text
-from .dynamics import _FRACTION, _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _Ruled, _checked, _shown
+from .dynamics import _FRACTION, _NONNEGATIVE_FINITE, _POSITIVE_FINITE, _Ruled, _checked, _chosen
 from .errors import ValidationError
 
 __all__ = [
@@ -132,14 +132,11 @@ class DeploymentPlan:
 
     def __post_init__(self):
         uptake, horizon_years, utilization = self.uptake, self.horizon_years, self.utilization
-        key = self.scenario_id.strip().upper()
-        if key not in SCENARIO_BINDINGS:
-            raise ValidationError(f"unknown scenario {self.scenario_id!r}; "
-                                  f"expected one of {', '.join(SCENARIO_BINDINGS)}")
+        key = _chosen("scenario_id", self.scenario_id.strip().upper(), SCENARIO_BINDINGS)
         _checked(_POSITIVE_FINITE, "uptake", uptake)
-        if not (horizon_years > 0 and horizon_years % 1 == 0):
-            raise ValidationError(
-                f"horizon_years must be a positive whole number, got {_shown(horizon_years)}")
+        _checked(_POSITIVE_FINITE, "horizon_years", horizon_years)
+        if horizon_years % 1:  # the value as given: float() may round a fraction to a whole
+            raise ValidationError(f"horizon_years must be a whole number, got {horizon_years}")
         horizon_years = int(horizon_years)
         station, vehicle = SCENARIO_BINDINGS[key]
         vps_exact = vehicles_per_station_exact(station, vehicle, self.basis, utilization)
@@ -152,12 +149,9 @@ class DeploymentPlan:
         if not math.isfinite(annual_capex):
             raise ValidationError(f"uptake {uptake:g} Mveh/year needs {per_year:.6g} stations a "
                                   "year, whose capex is beyond the float range")
-        try:
-            total_capex = annual_capex * horizon_years
-        except OverflowError:  # an int horizon beyond the float range
-            total_capex = math.inf
+        total_capex = annual_capex * horizon_years
         if not math.isfinite(total_capex):
-            raise ValidationError(f"horizon {_shown(horizon_years)} years at GBP {annual_capex:g} "
+            raise ValidationError(f"horizon {horizon_years} years at GBP {annual_capex:g} "
                                   "a year puts the total capex beyond the float range")
         self.__dict__.update(
             scenario_id=key, horizon_years=horizon_years, station=station, vehicle=vehicle,
@@ -208,11 +202,9 @@ def vehicles_per_station_exact(
 ) -> float:
     """Unrounded vehicles one station can support."""
     _checked(_FRACTION, "utilization", utilization)
-    if basis == "daily":
+    if _chosen("basis", basis, ("daily", "annual")) == "daily":
         return st.capacity_per_day * utilization / v.tank
-    if basis == "annual":
-        return st.capacity_per_year * utilization / v.annual_consumption
-    raise ValidationError(f"basis must be 'daily' or 'annual', got {basis!r}")
+    return st.capacity_per_year * utilization / v.annual_consumption
 
 
 def stations_per_year(uptake: float, vps: float) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from ._files import write_text
 from .dynamics import (_MAX_STEPS, _NONNEGATIVE_FINITE, FleetState, LvmParams, Trajectory,
-                       _checked, _grid, integrate, modified_system)
+                       _checked, _chosen, _grid, integrate, modified_system)
 from .errors import ValidationError
 
 __all__ = [
@@ -93,11 +93,7 @@ class TargetCheck:
 
 def _builtin(name: str) -> tuple[str, tuple]:
     """The key of the built-in scenario name and its _BUILTIN row."""
-    key = name.strip().lower()
-    if key not in _BUILTIN:
-        raise ValidationError(
-            f"unknown scenario {name!r}; expected one of {', '.join(_BUILTIN)}"
-        )
+    key = _chosen("name", name.strip().lower(), _BUILTIN)
     return key, _BUILTIN[key]
 
 

@@ -31,6 +31,9 @@ from fleetdyn import (
 )
 from fleetdyn.analytics import PARAM_NAMES
 from fleetdyn.cli import COMMANDS, REQUIRED, build_parser, main, resolve
+from fleetdyn.infrastructure import (HFC_VEHICLE, SCENARIO_BINDINGS, SMALL_STATION,
+                                     vehicles_per_station_exact)
+from fleetdyn.scenarios import BUILTIN_SCENARIO_NAMES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 UK_CSV = str(Path(SRC) / "fleetdyn" / "data" / "uk_fleet_rac.csv")
@@ -526,17 +529,17 @@ def test_a_value_outside_its_range_rule_names_its_flag_or_config_line(
 
 def _bad_texts(param):
     """Texts param refuses before its range rule: no number or no choice, an
-    empty value, and a near miss (a float for an int, a choice's upper case)."""
-    near = param.choices[0].upper() if param.choices else "1.5" if param.type is int else "0x1"
+    empty value, and a near miss (a float for an int, a choice with its case swapped)."""
+    near = param.choices[0].swapcase() if param.choices else "1.5" if param.type is int else "0x1"
     return ["x", "", near]
 
 
-def _resolve_message(argv, cfg=None):
-    """The ParseError text resolve gives for argv, with --config cfg if given."""
+def _resolve_message(argv, cfg=None, error=ParseError):
+    """The text of the error resolve raises for argv, with --config cfg if given."""
     args = build_parser().parse_args(argv)
     if cfg is not None:  # resolve reads a config line alike for every command
         args.config = str(cfg)
-    with pytest.raises(ParseError) as refused:
+    with pytest.raises(error) as refused:
         resolve(args, COMMANDS[argv[0]])
     return str(refused.value)
 
@@ -561,11 +564,12 @@ def test_a_bad_text_is_worded_alike_as_a_flag_and_as_a_config_line(tmp_path, cap
     try:  # the conversion's own words, else the choice refusal
         param.type(text)
     except ValueError as exc:
-        rest = str(exc)
+        rest, error = str(exc), ParseError
     else:
-        rest = f"{text!r} is not one of {', '.join(param.choices)}"
-    assert _resolve_message([cmd, *others, f"--{param.name}", text]) == f"--{param.name}: {rest}"
-    assert _resolve_message([cmd, *others], cfg) == f"{cfg}: line 2: {param.name}: {rest}"
+        rest, error = f"{text!r} is not one of {', '.join(param.choices)}", ValidationError
+    assert _resolve_message([cmd, *others, f"--{param.name}", text],
+                            error=error) == f"--{param.name}: {rest}"
+    assert _resolve_message([cmd, *others], cfg, error) == f"{cfg}: line 2: {param.name}: {rest}"
     # and through main: exit 2, the one message, nothing written
     out = tmp_path / "o"
     argv = [cmd, *others, f"--{param.name}", text, "--out", str(out)]
@@ -929,8 +933,25 @@ def test_infra_refuses_an_overflowing_plan(tmp_path, capsys, flag, value, messag
     assert not out.exists()
 
 
-def test_infra_invalid_id_exits_2(tmp_path):
-    assert run_cli("infra", "--id", "S9", "--out", str(tmp_path)) == 2
+def test_infra_invalid_id_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("infra", "--id", "S9", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: --id: 'S9' is not one of S1, S2, S3, S4\n"
+    assert not out.exists()
+
+
+def test_cli_choices_are_the_library_tables():
+    # cli does not import infrastructure, so --id and --basis spell out the
+    # library's choices; these must stay the tables the library accepts.
+    choices = {p.name: p.choices for c in COMMANDS.values() for p in c.params if p.choices}
+    assert choices.keys() == {"id", "basis", "name"}
+    assert choices["id"] == tuple(SCENARIO_BINDINGS)
+    assert choices["name"] is BUILTIN_SCENARIO_NAMES
+    for basis in choices["basis"]:
+        assert vehicles_per_station_exact(SMALL_STATION, HFC_VEHICLE, basis) > 0
+    with pytest.raises(ValidationError) as refused:
+        vehicles_per_station_exact(SMALL_STATION, HFC_VEHICLE, "weekly")
+    assert str(refused.value) == f"basis: 'weekly' is not one of {', '.join(choices['basis'])}"
 
 
 # ------------------------------------------------------------------ batch

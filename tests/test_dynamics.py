@@ -201,10 +201,8 @@ _ENTRY_POINTS = {
                                  "uptake must be non-negative and finite, got {}"),
     "DeploymentPlan-uptake": (lambda v: DeploymentPlan("S1", uptake=v),
                               "uptake must be positive and finite, got {}"),
-    "DeploymentPlan-horizon_years": (
-        lambda v: DeploymentPlan("S1", horizon_years=v),
-        ("horizon {} years at GBP 8.75e+09 a year puts the total capex beyond the float range",
-         "horizon_years must be a positive whole number, got {}")),
+    "DeploymentPlan-horizon_years": (lambda v: DeploymentPlan("S1", horizon_years=v),
+                                     "horizon_years must be positive and finite, got {}"),
     "DeploymentPlan-utilization": (lambda v: DeploymentPlan("S1", utilization=v),
                                    "utilization must be in (0, 1], got {}"),
     "PetrolEquivalence-total_stations": (lambda v: PetrolEquivalence(v, LARGE_STATION),

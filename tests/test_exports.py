@@ -291,6 +291,23 @@ def test_only_resolve_converts_a_cli_value():
     assert converters == {"resolve"}
 
 
+CHOICE_WORDS = ("is not one of", "expected one of", "must be 'daily' or 'annual'")
+
+
+def test_only_chosen_words_a_choice_refusal():
+    # A value looked up in a table of names is refused by dynamics._chosen
+    # alone, so a CLI choice, a builtin scenario name, a deployment id and a
+    # support basis are worded alike; a refusal text elsewhere is a second copy.
+    sites = {
+        (path.stem, func)
+        for path in PACKAGE.glob("*.py")
+        for func, const in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                             ast.Constant)
+        if isinstance(const.value, str) and any(words in const.value for words in CHOICE_WORDS)
+    }
+    assert sites == {("dynamics", "_chosen")}
+
+
 def test_series_entry_points_do_not_use_numpy():
     # A fleet series is plain tuples, checked row by row by one rule
     # function; numpy belongs to the fit's arithmetic only.

@@ -132,7 +132,7 @@ HELP = {
     "batch": "8972528268ce8809391bd53779144592436934a744e53d14208f501b49f0f3ac",
     "fit": "9ade835e5ca07447675a37c852f0a438b37be6fe4462a7c7d7519d2fd744dd5e",
     "growth": "da9b78ef9132c17c4d4804f57fdbeb440570f103e57d263ec92cd515b7e48182",
-    "infra": "4e611422cd93cfe5895088d71902ed5b71dd6afd8b6e4dcf7cd401a7a69abad2",
+    "infra": "9645e53a4763c54734677334c7a3efe4dcf951bba298e8f87b9808cbabb98083",
     "scenario": "03ee9def58a2ddcc26a6e03170997bca2fa42fe77007b32e3efc4c77450f7b4c",
     "sensitivity": "4eaf204643617e67b0a11e6c403be7cf8509ddabe9bc9431b3bcdf9f00a77a33",
 }

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -76,7 +77,7 @@ def test_vehicles_per_station_utilization_scales():
     assert deployment_plan("S1", utilization=0.5).vehicles_per_station == 20
     with pytest.raises(ValidationError, match="utilization must be in"):
         deployment_plan("S1", utilization=0.0)
-    with pytest.raises(ValidationError, match="basis must be 'daily' or 'annual'"):
+    with pytest.raises(ValidationError, match="^basis: 'weekly' is not one of daily, annual$"):
         deployment_plan("S1", basis="weekly")
 
 
@@ -155,11 +156,16 @@ def test_deployment_plan_rejects_non_finite_uptake(uptake):
         deployment_plan("S2", uptake=uptake)
 
 
-@pytest.mark.parametrize("horizon", [0, -3, 2.5, math.nan, math.inf, -math.inf])
-def test_deployment_plan_refuses_a_horizon_that_is_not_a_positive_whole_number(horizon):
-    with pytest.raises(ValidationError,
-                       match=f"^horizon_years must be a positive whole number, got {horizon}$"):
+@pytest.mark.parametrize("horizon, rule", [
+    (0, "positive and finite"), (-3, "positive and finite"), (2.5, "a whole number"),
+    (math.nan, "positive and finite"), (math.inf, "positive and finite"),
+    (-math.inf, "positive and finite"),
+    (Fraction(10**20 - 1, 10**20), "a whole number"),  # whose float() is 1.0
+], ids=str)
+def test_deployment_plan_refuses_a_horizon_that_is_not_a_positive_whole_number(horizon, rule):
+    with pytest.raises(ValidationError) as refused:
         deployment_plan("S1", horizon_years=horizon)
+    assert str(refused.value) == f"horizon_years must be {rule}, got {horizon}"
 
 
 def test_deployment_plan_counts_whole_years():
